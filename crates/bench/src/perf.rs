@@ -300,7 +300,8 @@ pub const WORKLOADS: [(&str, Timer, bool); 10] = [
 /// `conv_forward` / `conv_fwd_bwd`: one mid-network convolution
 /// (16→32 channels, 3×3, pad 1) over a 16×16 batch — the direct forward
 /// (and, on the way back, the direct input- and weight-gradient kernels)
-/// that every model here runs.
+/// that every model here runs. Stride 1 with 16-wide output rows, so on an
+/// AVX2 host the forward takes the pixel-lane path, not the row gather.
 fn time_conv(sizes: &Sizes, backward: bool) -> f64 {
     let spec = Conv2dSpec::new(16, 32, 3, 1, 1);
     let x = Tensor::from_fn(&[sizes.conv_batch, 16, 16, 16], |i| {

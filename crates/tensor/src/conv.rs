@@ -13,14 +13,28 @@
 //!
 //! The historical forward was `im2col(x) × Wᵀ` via `matmul_nt`, whose every
 //! output element is one full-length [`crate::simd::dot8`] over
-//! `(patch row, weight row)`. The direct kernel gathers the *same* patch
-//! row (padding positions explicitly zero, same `(ci, ky, kx)` column
-//! order) into a row buffer and computes the *same* full-length `dot8`
-//! against the same weight row. `dot8` is a pure function of its operands,
-//! so every output element gets identical bits — the change eliminates the
-//! `[n·oh·ow, patch]` materialization and the scatter from row-major back
-//! to NCHW, not a single add. Goldens and thread-count invariance hold
-//! unchanged (the per-sample split never splits one element's reduction).
+//! `(patch row, weight row)`. The direct forward has two paths, and on both
+//! every output element is that same `dot8`:
+//!
+//! * **Row gather**, for every geometry. It gathers the *same* patch row
+//!   (padding positions explicitly zero, same `(ci, ky, kx)` column order)
+//!   into a row buffer and computes the *same* full-length `dot8` against
+//!   the same weight row, through the multi-output `dot8_x8`. `dot8` is a
+//!   pure function of its operands, so every output element gets identical
+//!   bits — the change eliminates the `[n·oh·ow, patch]` materialization
+//!   and the scatter from row-major back to NCHW, not a single add.
+//! * **Pixel lanes**, on AVX2 hosts for stride 1 and `ow % 8 == 0`. It
+//!   copies each sample once into a zero-padded slab, where the patch
+//!   column `j` of eight adjacent output pixels is eight adjacent floats at
+//!   a per-column offset. [`crate::simd::x86::dot8_pixel_lanes`] keeps
+//!   `dot8`'s eight lane accumulators as eight registers of eight pixels
+//!   each: column `j` goes into accumulator `j % 8` as `acc + x·w`, the
+//!   tail and the fixed tree follow as in `dot8`, so each pixel sees
+//!   `dot8`'s exact IEEE sequence without any patch row being gathered.
+//!
+//! Goldens and thread-count invariance hold unchanged (the per-sample split
+//! never splits one element's reduction). DESIGN.md §17 has both
+//! arguments.
 //!
 //! # Why the direct backward produces the same bits as the GEMM pipeline
 //!
@@ -337,18 +351,20 @@ pub fn gather_patch_rows(
     }
 }
 
-/// Tuned blocked direct-conv kernel for [`crate::backend::CpuTuned`].
+/// Tuned direct-conv kernel for [`crate::backend::CpuTuned`].
 ///
-/// Per sample (batch split across threads — each sample's `oc·oh·ow`
-/// region is disjoint), per output row `oy`: gather the `ow × patch` patch
-/// rows once into a scratch row buffer ([`gather_patch_rows`]), then stream
-/// the weight matrix in blocks of eight output channels — `ox` inner — so
-/// the weight rows stay hot across the whole output row and the
-/// independent accumulator chains of [`simd::dot8_x8`] (with
-/// `dot8_x4`/`dot8` cleanup) overlap in the pipeline. Every output element
-/// is one full-length `dot8`-ordered
-/// reduction over exactly the im2col row content, preserving the bitwise
-/// contract described in the module docs.
+/// Samples split across threads (each sample's `oc·oh·ow` region is
+/// disjoint). On AVX2 hosts a stride-1 conv whose output rows are a
+/// multiple of 8 wide takes the pixel-lane path
+/// ([`conv_forward_pixel_lanes`]). Every other geometry takes the row
+/// gather: per output row `oy`, gather the `ow × patch` patch rows once
+/// into a scratch row buffer ([`gather_patch_rows`]), then stream the
+/// weight matrix in blocks of eight output channels — `ox` inner — so the
+/// weight rows stay hot across the whole output row and the independent
+/// accumulator chains of [`simd::dot8_x8`] (with `dot8_x4`/`dot8` cleanup)
+/// overlap in the pipeline. On either path every output element is one
+/// full-length `dot8`-ordered reduction over exactly the im2col row
+/// content, preserving the bitwise contract described in the module docs.
 pub(crate) fn conv_forward_tuned(x: &[f32], wmat: &[f32], out: &mut [f32], geom: &ConvGeom) {
     let spec = &geom.spec;
     let (c, oc, patch) = (spec.in_channels, spec.out_channels, spec.patch_len());
@@ -361,6 +377,10 @@ pub(crate) fn conv_forward_tuned(x: &[f32], wmat: &[f32], out: &mut [f32], geom:
         .saturating_mul(oc.saturating_mul(oh).saturating_mul(ow))
         .saturating_mul(patch);
     let threads = parallel::threads_for(work);
+    #[cfg(target_arch = "x86_64")]
+    if simd::have_avx2() && spec.stride == 1 && ow % simd::LANES == 0 {
+        return conv_forward_pixel_lanes(x, wmat, out, geom, threads);
+    }
     parallel::par_items_mut(out, oc * oh * ow, threads, |ni, sample| {
         let xs = &x[ni * c * h * w..(ni + 1) * c * h * w];
         let mut rowbuf = scratch::take(ow * patch);
@@ -397,6 +417,60 @@ pub(crate) fn conv_forward_tuned(x: &[f32], wmat: &[f32], out: &mut [f32], geom:
             }
         }
         scratch::recycle(rowbuf);
+    });
+}
+
+/// The pixel-lane conv forward: a stride-1 conv with `ow % 8 == 0` on an
+/// AVX2 host, called by [`conv_forward_tuned`] with its thread count.
+///
+/// Per sample, the `[c, h, w]` slab is copied once into a scratch buffer of
+/// shape `[c, hp, wp] = [c, h+2p, w+2p]` whose +0.0 borders are im2col's
+/// padding zeros. Patch column `j = (ci, ky, kx)` of output pixel `(oy, ox)`
+/// is then `padded[off[j] + oy·wp + ox]`, where the offsets `off[j] =
+/// (ci·hp + ky)·wp + kx` are listed once per call in im2col column order.
+/// So eight adjacent output pixels are eight adjacent floats, and
+/// [`simd::x86::dot8_pixel_lanes`] loads them straight from the padded copy:
+/// nothing is gathered, and every output element is still
+/// `dot8(im2col row, weight row)` bit for bit.
+#[cfg(target_arch = "x86_64")]
+fn conv_forward_pixel_lanes(
+    x: &[f32],
+    wmat: &[f32],
+    out: &mut [f32],
+    geom: &ConvGeom,
+    threads: usize,
+) {
+    let spec = &geom.spec;
+    let (c, k, p) = (spec.in_channels, spec.kernel, spec.padding);
+    let (h, w, oh, ow) = (geom.h, geom.w, geom.oh, geom.ow);
+    let (hp, wp) = (h + 2 * p, w + 2 * p);
+    let off: Vec<usize> = (0..c)
+        .flat_map(|ci| (0..k).flat_map(move |ky| (0..k).map(move |kx| (ci * hp + ky) * wp + kx)))
+        .collect();
+    // At stride 1, oh = hp−k+1 and ow = wp−k+1, and `off` ascends to
+    // ((c−1)·hp + k−1)·wp + k−1, so the largest index the kernel reads,
+    // off[patch−1] + (oh−1)·wp + ow − 1, is exactly c·hp·wp − 1: the last
+    // element of the padded copy. The kernel reads unchecked and `ConvGeom`
+    // is public, so this is asserted, not assumed.
+    let len = c * hp * wp;
+    assert!(
+        oh > 0 && off[off.len() - 1] + (oh - 1) * wp + ow == len,
+        "pixel-lane conv bounds"
+    );
+    parallel::par_items_mut(out, spec.out_channels * oh * ow, threads, |ni, sample| {
+        let xs = &x[ni * c * h * w..(ni + 1) * c * h * w];
+        let mut padded = scratch::take(len);
+        for r in 0..c * h {
+            let start = ((r / h) * hp + r % h + p) * wp + p;
+            padded[start..start + w].copy_from_slice(&xs[r * w..(r + 1) * w]);
+        }
+        // SAFETY: the caller verified AVX2 and ow % 8 == 0, and oh > 0 is
+        // asserted above; `off` is not empty (patch > 0), `wmat` is
+        // [oc, patch] and `sample` is [oc, oh, ow]; `off` ascends, so every
+        // read lies at or below off[patch−1] + (oh−1)·wp + ow − 1, which
+        // the assert above pins to len − 1, and padded.len() == len.
+        unsafe { simd::x86::dot8_pixel_lanes(&padded, &off, wmat, sample, oh, ow, wp) };
+        scratch::recycle(padded);
     });
 }
 

@@ -183,35 +183,23 @@ impl Tensor {
             let s = self.data()[0];
             return Ok(other.map(|v| f(s, v)));
         }
-        // Bias broadcast: [n, c] (+|-|*|/) [c].
+        // Bias broadcast: [n, c] (+|-|*|/) [c], one zip per row.
         if self.rank() == 2 && other.rank() == 1 && self.shape()[1] == other.shape()[0] {
-            let (n, c) = (self.shape()[0], self.shape()[1]);
-            let mut data = scratch::take_raw(n * c);
-            for i in 0..n {
-                for j in 0..c {
-                    data.push(f(self.data()[i * c + j], other.data()[j]));
-                }
+            let mut data = scratch::take_raw(self.len());
+            // `max(1)`: an empty tensor has no rows to visit.
+            for row in self.data().chunks_exact(other.len().max(1)) {
+                data.extend(row.iter().zip(other.data()).map(|(&a, &b)| f(a, b)));
             }
             return Tensor::from_vec(data, self.shape());
         }
-        // Channel broadcast: [n, c, h, w] (+|-|*|/) [c].
+        // Channel broadcast: [n, c, h, w] (+|-|*|/) [c], one pass per plane.
         if self.rank() == 4 && other.rank() == 1 && self.shape()[1] == other.shape()[0] {
-            let (n, c, h, w) = (
-                self.shape()[0],
-                self.shape()[1],
-                self.shape()[2],
-                self.shape()[3],
-            );
-            let plane = h * w;
+            let plane = self.shape()[2] * self.shape()[3];
             let mut data = scratch::take_raw(self.len());
-            for ni in 0..n {
-                for ci in 0..c {
-                    let base = (ni * c + ci) * plane;
-                    let b = other.data()[ci];
-                    for k in 0..plane {
-                        data.push(f(self.data()[base + k], b));
-                    }
-                }
+            let bias = other.data().iter().cycle();
+            // `max(1)` as above; plane `i` takes bias `i % c`.
+            for (src, &b) in self.data().chunks_exact(plane.max(1)).zip(bias) {
+                data.extend(src.iter().map(|&a| f(a, b)));
             }
             return Tensor::from_vec(data, self.shape());
         }
@@ -254,6 +242,20 @@ mod tests {
         let b = Tensor::from_vec(vec![1.0, 2.0], &[2]).unwrap();
         let out = a.mul(&b).unwrap();
         assert_eq!(out.data(), &[1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0]);
+    }
+
+    #[test]
+    fn bias_broadcast_of_empty_tensors() {
+        for (lhs, rhs) in [
+            (&[0, 3][..], 3),
+            (&[2, 0][..], 0),
+            (&[2, 3, 0, 4][..], 3),
+            (&[2, 0, 5, 5][..], 0),
+        ] {
+            let out = Tensor::zeros(lhs).add(&Tensor::zeros(&[rhs])).unwrap();
+            assert_eq!(out.shape(), lhs);
+            assert!(out.data().is_empty());
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! can route gradients exactly; average pooling distributes gradients
 //! uniformly over each window.
 
-use crate::{Result, Tensor, TensorError};
+use crate::{scratch, Result, Tensor, TensorError};
 
 /// Geometry of a 2-D pooling operation (square window, no padding).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,7 +63,7 @@ pub fn max_pool2d(input: &Tensor, spec: &Pool2dSpec) -> Result<(Tensor, Vec<usiz
         input.shape()[3],
     );
     let (oh, ow) = spec.out_hw(h, w)?;
-    let mut out = Vec::with_capacity(n * c * oh * ow);
+    let mut out = scratch::take_raw(n * c * oh * ow);
     let mut arg = Vec::with_capacity(n * c * oh * ow);
     let data = input.data();
     for ni in 0..n {
@@ -133,7 +133,7 @@ pub fn avg_pool2d(input: &Tensor, spec: &Pool2dSpec) -> Result<Tensor> {
     );
     let (oh, ow) = spec.out_hw(h, w)?;
     let win = (spec.kernel * spec.kernel) as f32;
-    let mut out = Vec::with_capacity(n * c * oh * ow);
+    let mut out = scratch::take_raw(n * c * oh * ow);
     let data = input.data();
     for ni in 0..n {
         for ci in 0..c {

@@ -28,6 +28,9 @@
 //! identical to the plain `y[i] += a * x[i]` loop it replaces; the
 //! crate-internal `axpy8_terms` runs a list of such AXPYs with the
 //! accumulators held in registers, bitwise the same sequence of calls.
+//! The crate-internal `dot8_pixel_lanes` runs `dot8` for eight output
+//! pixels of a convolution at once, one pixel per register lane and one
+//! register per `dot8` lane, again bitwise.
 //!
 //! # Runtime AVX2 dispatch
 //!
@@ -63,7 +66,7 @@ pub fn have_avx2() -> bool {
 }
 
 #[cfg(target_arch = "x86_64")]
-mod x86 {
+pub(crate) mod x86 {
     use super::{reduce_lanes, LANES};
     use core::arch::x86_64::*;
 
@@ -160,6 +163,110 @@ mod x86 {
             out[r] = reduce_lanes(lanes) + tail;
         }
         out
+    }
+
+    /// 8-pixel blocks that [`dot8_pixel_lanes`] computes together.
+    const GROUP: usize = 4;
+
+    /// The output registers of the [`GROUP`] 8-pixel blocks at `base[b]`,
+    /// each the `dot8` sequence of its pixels' patch rows. A block's eight
+    /// lane accumulators run in four passes over the columns, one lane pair
+    /// per pass, so the group fills eight registers and shares each offset
+    /// and weight load four ways. Pass `k` ends in `p[k] = a[2k] +
+    /// a[2k+1]`, so `(p0+p1) + (p2+p3)` is `dot8`'s tree; the tail goes
+    /// last.
+    ///
+    /// # Safety
+    ///
+    /// Caller must have verified AVX2 support; `off` and `w` must hold
+    /// `patch` elements and every `base[b] + off[j] + 8` must be in bounds.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn pixel_lane_group(
+        base: [*const f32; GROUP],
+        off: *const usize,
+        w: *const f32,
+        patch: usize,
+    ) -> [__m256; GROUP] {
+        let body = patch / LANES * LANES;
+        let mut pairs = [[_mm256_setzero_ps(); 4]; GROUP];
+        for k in 0..4 {
+            let mut acc = [[_mm256_setzero_ps(); 2]; GROUP];
+            for c in (0..body).step_by(LANES) {
+                for l in 0..2 {
+                    let j = c + 2 * k + l;
+                    let (o, wj) = (*off.add(j), _mm256_set1_ps(*w.add(j)));
+                    for (a, p) in acc.iter_mut().zip(base) {
+                        a[l] = _mm256_add_ps(a[l], _mm256_mul_ps(_mm256_loadu_ps(p.add(o)), wj));
+                    }
+                }
+            }
+            for (pair, a) in pairs.iter_mut().zip(acc) {
+                pair[k] = _mm256_add_ps(a[0], a[1]);
+            }
+        }
+        let mut tail = [_mm256_setzero_ps(); GROUP];
+        for j in body..patch {
+            let (o, wj) = (*off.add(j), _mm256_set1_ps(*w.add(j)));
+            for (t, p) in tail.iter_mut().zip(base) {
+                *t = _mm256_add_ps(*t, _mm256_mul_ps(_mm256_loadu_ps(p.add(o)), wj));
+            }
+        }
+        core::array::from_fn(|b| {
+            let [p0, p1, p2, p3] = pairs[b];
+            let tree = _mm256_add_ps(_mm256_add_ps(p0, p1), _mm256_add_ps(p2, p3));
+            _mm256_add_ps(tree, tail[b])
+        })
+    }
+
+    /// Pixel-lane dot products for the conv forward: for every row `co` of
+    /// `wmat` and every output pixel `(oy, ox)`, `out[(co·oh + oy)·ow + ox]
+    /// = dot8(p, wmat[co])`, where `p[j] = src[off[j] + oy·row + ox]` is the
+    /// pixel's patch row. `src` is one zero-padded sample, `off` lists the
+    /// patch columns' offsets in it and `row` is its row stride
+    /// (`conv::conv_forward_tuned`).
+    ///
+    /// A register holds eight adjacent output pixels, so `dot8`'s eight
+    /// lane accumulators become eight registers: column `j` enters
+    /// accumulator `j % 8` as `acc + x·w` from +0, columns past the last
+    /// full chunk go into a tail from +0, and the accumulators reduce by
+    /// `dot8`'s fixed tree before the tail is added. Every output element
+    /// sees `dot8`'s IEEE sequence and gets its bits. A NaN stays a NaN,
+    /// but which payload it carries is not pinned, here or in `dot8`: Rust
+    /// leaves that open, and the compiler commutes the operands of adds and
+    /// multiplies. The plane's 8-pixel blocks go through
+    /// [`pixel_lane_group`] [`GROUP`] at a time; a short last group repeats
+    /// its last block and stores only its own blocks.
+    ///
+    /// # Safety
+    ///
+    /// Caller must have verified [`super::have_avx2`]. `off` must not be
+    /// empty, `oh` must be nonzero and `ow` a multiple of 8; `wmat`
+    /// and `out` must hold the same number of rows, of `off.len()` and
+    /// `oh·ow` elements; and `off[j] + (oh−1)·row + ow <= src.len()` must
+    /// hold for every `j`. No index is checked.
+    #[target_feature(enable = "avx2")]
+    pub(crate) unsafe fn dot8_pixel_lanes(
+        src: &[f32],
+        off: &[usize],
+        wmat: &[f32],
+        out: &mut [f32],
+        oh: usize,
+        ow: usize,
+        row: usize,
+    ) {
+        let patch = off.len();
+        let blocks = oh * ow / LANES;
+        let base = |b: usize| src.as_ptr().add(b * LANES / ow * row + b * LANES % ow);
+        for (wrow, plane) in wmat.chunks_exact(patch).zip(out.chunks_exact_mut(oh * ow)) {
+            for b0 in (0..blocks).step_by(GROUP) {
+                let bases = core::array::from_fn(|i| base((b0 + i).min(blocks - 1)));
+                let sums = pixel_lane_group(bases, off.as_ptr(), wrow.as_ptr(), patch);
+                for (i, sum) in sums.into_iter().enumerate().take(blocks - b0) {
+                    _mm256_storeu_ps(plane.as_mut_ptr().add((b0 + i) * LANES), sum);
+                }
+            }
+        }
     }
 
     /// `N` consecutive 8-lane chunks of `acc`, held in `__m256` registers

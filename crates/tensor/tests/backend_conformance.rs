@@ -330,6 +330,7 @@ fn tuned_direct_conv_is_bitwise_im2col_matmul_nt() {
     // the pipeline swap changes no bits — which is why the conv goldens
     // survived PR 10 without a re-bless.
     let mut g = Gen::new(0xB006);
+    let mut cases = Vec::new();
     for case in 0..40 {
         let n = g.usize_in(1, 3);
         let c = g.usize_in(1, 4);
@@ -342,21 +343,77 @@ fn tuned_direct_conv_is_bitwise_im2col_matmul_nt() {
         let spec = Conv2dSpec::new(c, oc, k, stride, padding);
         let x = g.tensor(&[n, c, h, w], -1.0, 1.0);
         let wmat = g.tensor(&[oc, spec.patch_len()], -1.0, 1.0);
-        let (oh, ow) = spec.out_hw(h, w).unwrap();
+        cases.push((format!("case {case}"), x, wmat, spec));
+    }
+    // On AVX2 hosts a stride-1 conv with ow % 8 == 0 takes the pixel-lane
+    // path instead, whose eight lane accumulators are registers of eight
+    // output pixels. These cases all select it: ow ∈ {8, 16, 24}; patch 9
+    // and 27 (a < 8 tail) and 144 (none); odd batches; padding 0 and 1.
+    // Operands are finite, then seeded sparsely (about one special value
+    // per output's terms) and densely with −0.0, ±∞ and NaNs of two
+    // payloads, in both operands.
+    const SPECIAL: [f32; 5] = [
+        -0.0,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::from_bits(0x7fc0_0001),
+        f32::from_bits(0xffc0_2468),
+    ];
+    let mut g = Gen::new(0xB00C);
+    let seeded = |g: &mut Gen, shape: &[usize], rate: f32| {
+        let len: usize = shape.iter().product();
+        let data = (0..len)
+            .map(|_| {
+                if g.unit_f32() < rate {
+                    SPECIAL[g.usize_in(0, SPECIAL.len() - 1)]
+                } else {
+                    g.f32_in(-1.0, 1.0)
+                }
+            })
+            .collect();
+        to_tensor(data, shape)
+    };
+    for ow in [8, 16, 24] {
+        for c in [1, 3, 16] {
+            for padding in [0, 1] {
+                let spec = Conv2dSpec::new(c, g.usize_in(1, 11), 3, 1, padding);
+                let patch = spec.patch_len() as f32;
+                for rate in [0.0, 0.5 / patch, 0.3] {
+                    let n = 2 * g.usize_in(0, 1) + 1;
+                    let h = g.usize_in(3 - 2 * padding, 6);
+                    let w = ow + 2 - 2 * padding;
+                    let x = seeded(&mut g, &[n, c, h, w], rate);
+                    let wmat = seeded(&mut g, &[spec.out_channels, spec.patch_len()], rate);
+                    let label = format!("ow={ow} c={c} padding={padding} rate={rate}");
+                    cases.push((label, x, wmat, spec));
+                }
+            }
+        }
+    }
 
-        let direct = conv2d_forward(&x, &wmat, &spec).unwrap();
-        let rows = im2col(&x, &spec).unwrap().matmul_nt(&wmat).unwrap();
+    for (label, x, wmat, spec) in &cases {
+        let (n, oc) = (x.shape()[0], spec.out_channels);
+        let (oh, ow) = spec.out_hw(x.shape()[2], x.shape()[3]).unwrap();
+        let direct = conv2d_forward(x, wmat, spec).unwrap();
+        let rows = im2col(x, spec).unwrap().matmul_nt(wmat).unwrap();
         for ni in 0..n {
             for co in 0..oc {
                 for oy in 0..oh {
                     for ox in 0..ow {
                         let d = direct.data()[((ni * oc + co) * oh + oy) * ow + ox];
                         let r = rows.data()[((ni * oh + oy) * ow + ox) * oc + co];
-                        assert_eq!(
+                        // A NaN must meet a NaN, but its payload is not
+                        // compared: Rust leaves open which input NaN an
+                        // arithmetic op passes on, and LLVM commutes
+                        // `fadd`/`fmul` operands, so even `dot8_x8`'s outputs
+                        // do not pass payloads on the way a lone `dot8` does.
+                        assert!(
+                            d.to_bits() == r.to_bits() || (d.is_nan() && r.is_nan()),
+                            "{label}: direct conv diverged from im2col pipeline \
+                             at n={ni} co={co} oy={oy} ox={ox}: {d} ({:#010x}) \
+                             vs {r} ({:#010x})",
                             d.to_bits(),
-                            r.to_bits(),
-                            "case {case}: direct conv diverged from im2col \
-                             pipeline at n={ni} co={co} oy={oy} ox={ox}"
+                            r.to_bits()
                         );
                     }
                 }

@@ -14,7 +14,9 @@
 //!   [`parallel::with_threads`] forcing the parallel path on fixtures small
 //!   enough that `threads_for` would otherwise run them serially.
 
-use ibrar_tensor::{im2col, parallel, scratch, Conv2dSpec, Tensor};
+use ibrar_tensor::{
+    avg_pool2d, im2col, max_pool2d, parallel, scratch, Conv2dSpec, Pool2dSpec, Tensor,
+};
 
 #[test]
 fn worker_threads_hit_their_scratch_pools() {
@@ -72,6 +74,36 @@ fn warmth_survives_across_jobs_on_the_same_worker() {
         "persistent workers never hit their scratch pools \
          (job1 peaks {first:?}, job2 peaks {second:?})"
     );
+}
+
+#[test]
+fn pool_outputs_come_from_the_scratch_pool() {
+    // A tensor's buffer goes back to the pool when it drops, so a hot-path
+    // output must also come out of it: one allocated outside the pool is a
+    // net addition to the pool on every drop. So the second call of a
+    // shape, after the first one's output dropped, must hit.
+    let _scratch_on = scratch::with_enabled(true);
+    let spec = Pool2dSpec::new(2, 2);
+    // Distinctive shape: the 525-element output's size class is used by
+    // nothing else here.
+    let x = Tensor::from_fn(&[3, 5, 10, 14], |i| {
+        ((i[0] * 7 + i[1] * 5 + i[2] * 3 + i[3]) % 11) as f32 * 0.3 - 1.0
+    });
+    let calls: [(&str, &dyn Fn() -> Tensor); 2] = [
+        ("max_pool2d", &|| max_pool2d(&x, &spec).unwrap().0),
+        ("avg_pool2d", &|| avg_pool2d(&x, &spec).unwrap()),
+    ];
+    for (name, call) in calls {
+        drop(call());
+        let (h0, _) = scratch::stats();
+        let out = call();
+        let (h1, _) = scratch::stats();
+        assert_eq!(out.shape(), &[3, 5, 5, 7]);
+        assert!(
+            h1 > h0,
+            "{name}: the second call's output missed the scratch pool"
+        );
+    }
 }
 
 /// A workload touching the pooled hot paths: tiled matmul, im2col conv
