@@ -13,16 +13,16 @@ impl<'t> Var<'t> {
     /// `self` is the `[n, c, h, w]` input, `weight` is `[oc, c, k, k]`,
     /// `bias` an optional `[oc]` vector.
     ///
-    /// The forward is the backend's im2col-free direct kernel
-    /// ([`conv2d_forward`]), bitwise identical to the historical
-    /// `im2col × Wᵀ` formulation. The backward hands the NCHW upstream
-    /// gradient straight to the backend's direct kernels, bitwise identical
-    /// to the historical `col2im(G·W)` and `Gᵀ·im2col(x)` GEMM pipeline, and
-    /// computes only the gradients someone keeps. A weight that requires a
-    /// gradient gets [`conv2d_backward_weight`]; a frozen weight (an
-    /// input-gradient pass) skips it. An input that requires a gradient
-    /// gets [`conv2d_backward_input`]; a constant input (the first conv of a
-    /// train step) skips it.
+    /// The forward is the im2col-free direct kernel ([`conv2d_forward`]),
+    /// bitwise identical to the historical `im2col × Wᵀ` formulation. The
+    /// backward hands the NCHW upstream gradient straight to the direct
+    /// kernels, bitwise identical to the historical `col2im(G·W)` and
+    /// `Gᵀ·im2col(x)` GEMM pipeline, and computes only the gradients someone
+    /// keeps. A weight that requires a gradient gets
+    /// [`conv2d_backward_weight`]; a frozen weight (an input-gradient pass)
+    /// skips it. An input that requires a gradient gets
+    /// [`conv2d_backward_input`]; a constant input (the first conv of a train
+    /// step) skips it.
     ///
     /// # Errors
     ///

@@ -7,7 +7,7 @@
 
 use crate::tape::BackwardFn;
 use crate::{Result, Var};
-use ibrar_tensor::{backend, parallel, Tensor};
+use ibrar_tensor::{parallel, simd, Tensor};
 
 impl<'t> Var<'t> {
     /// Pairwise squared Euclidean distances of the rows of a `[m, d]` matrix,
@@ -27,16 +27,12 @@ impl<'t> Var<'t> {
             let xd = x.data();
             let od = out.data_mut();
             let threads = parallel::threads_for(m * m * d);
-            // Resolve the backend once on the submitting thread so a
-            // `with_backend` override applies to the parallel branch too
-            // (worker threads don't inherit thread-local overrides).
-            let be = backend::current();
             if threads == 1 {
                 // Half-matrix fill: each distance is computed once and
                 // mirrored across the diagonal.
                 for i in 0..m {
                     for j in (i + 1)..m {
-                        let acc = be.sqdist(&xd[i * d..(i + 1) * d], &xd[j * d..(j + 1) * d]);
+                        let acc = simd::sqdist8(&xd[i * d..(i + 1) * d], &xd[j * d..(j + 1) * d]);
                         od[i * m + j] = acc;
                         od[j * m + i] = acc;
                     }
@@ -52,7 +48,7 @@ impl<'t> Var<'t> {
                         if j == i {
                             continue;
                         }
-                        *o = be.sqdist(&xd[i * d..(i + 1) * d], &xd[j * d..(j + 1) * d]);
+                        *o = simd::sqdist8(&xd[i * d..(i + 1) * d], &xd[j * d..(j + 1) * d]);
                     }
                 });
             }

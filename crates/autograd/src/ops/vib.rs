@@ -3,8 +3,8 @@
 //!
 //! Both ops are deliberately *deterministic at the tape level*: `rsample`
 //! takes its Gaussian noise as a plain frozen tensor (drawn once per batch
-//! by the caller — the VIB head uses `ibrar_oracle::Gen`'s SplitMix64
-//! stream), and `kl_gauss` accumulates its scalar in a fixed serial order.
+//! by the caller — the VIB head seeds a SplitMix64 `StdRng` per batch),
+//! and `kl_gauss` accumulates its scalar in a fixed serial order.
 //! Nothing here depends on thread count or worker-pool state, so VIB train
 //! steps replay bitwise for goldens (DESIGN.md §16).
 

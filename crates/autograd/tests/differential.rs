@@ -1,7 +1,7 @@
 //! Differential tests: autograd forward/backward kernels vs the
 //! `ibrar-oracle` direct reference implementations.
 //!
-//! The optimized conv path is the backend's direct forward and backward
+//! The optimized conv path is the tensor crate's direct forward and backward
 //! kernels (a gathered-patch forward, a per-pixel patch-gradient scatter
 //! for dX and a per-channel term-list accumulation for dW); the oracle
 //! walks the convolution loops directly, so agreement here rules out

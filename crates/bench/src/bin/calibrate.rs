@@ -27,7 +27,7 @@ fn measure(config: &SynthVisionConfig, arch: Arch, scale: &Scale) -> ExpResult<(
 }
 
 fn main() -> ExpResult<()> {
-    let scale = Scale::from_args();
+    let scale = Scale::from_args("calibrate [--contrast-sweep]");
     let sweep = std::env::args().any(|a| a == "--contrast-sweep");
     ibrar_bench::run_binary("calibrate", &scale, |scale| {
         let mut table = TextTable::new(vec!["Dataset", "Contrast", "Natural %", "PGD^10 %"]);

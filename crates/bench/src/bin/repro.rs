@@ -8,7 +8,8 @@
 //! `<name>` is one entry of [`EXPERIMENTS`] and writes
 //! `target/experiments/<name>.txt`; `all` runs every entry in turn, carries
 //! on past a failing one and then exits non-zero if any failed. An unknown
-//! name prints the list and exits with code 2.
+//! name prints the list and exits with code 2, and so does a scale value
+//! that does not parse (after naming the flag or variable).
 //!
 //! Set `IBRAR_LOG` / `IBRAR_TELEMETRY` to capture telemetry (see README
 //! "Observability"); a run manifest is written next to each output table.
@@ -16,7 +17,7 @@
 use ibrar_bench::experiments::{
     fig2, fig3, fig4, fig5, fig6, table1, table2, table3, table4, table5, table6, table_vib,
 };
-use ibrar_bench::{run_binary, ExpResult, Scale};
+use ibrar_bench::{run_binary, ExpResult, Scale, SCALE_FLAGS};
 
 type Runner = fn(&Scale) -> ExpResult<String>;
 
@@ -37,7 +38,7 @@ const EXPERIMENTS: [(&str, Runner); 12] = [
 ];
 
 fn main() -> ExpResult<()> {
-    let scale = Scale::from_args();
+    let scale = Scale::from_args("repro <name|all>");
     let name = std::env::args().nth(1).unwrap_or_default();
     if name == "all" {
         eprintln!("[repro all] running at {scale:?}");
@@ -60,10 +61,7 @@ fn main() -> ExpResult<()> {
     match EXPERIMENTS.iter().find(|(n, _)| *n == name) {
         Some(&(name, run)) => run_binary(name, &scale, run),
         None => {
-            eprintln!(
-                "usage: repro <name|all> [--quick | --full] [--train N] [--test N] \
-                 [--epochs N] [--seeds N] [--eval N]"
-            );
+            eprintln!("usage: repro <name|all> {SCALE_FLAGS}");
             eprintln!("experiments: {}", EXPERIMENTS.map(|(n, _)| n).join(" "));
             std::process::exit(2);
         }

@@ -14,7 +14,7 @@ use ibrar_bench::{Arch, ExpResult, Scale};
 use ibrar_data::{SynthVision, SynthVisionConfig};
 
 fn main() -> ExpResult<()> {
-    let scale = Scale::from_args();
+    let scale = Scale::from_args("sweep_ib");
     ibrar_bench::run_binary("sweep_ib", &scale, run)
 }
 

@@ -16,7 +16,7 @@ use ibrar_data::{SynthVision, SynthVisionConfig};
 use ibrar_nn::{SgdConfig, StepLr};
 
 fn main() -> ExpResult<()> {
-    let scale = Scale::from_args();
+    let scale = Scale::from_args("tune_sgd");
     ibrar_bench::run_binary("tune_sgd", &scale, run)
 }
 

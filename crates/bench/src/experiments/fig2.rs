@@ -5,13 +5,11 @@
 //! comparison of panel (d).
 
 use crate::{Arch, ExpResult, Scale};
-use ibrar::{
-    IbLossConfig, LayerPolicy, MaskConfig, TrainMethod, Trainer, TrainerConfig, VibConfig,
-};
+use ibrar::{IbLossConfig, LayerPolicy, MaskConfig, TrainMethod, Trainer, TrainerConfig};
 use ibrar_analysis::{render_series, Series};
 use ibrar_attacks::{robust_accuracy, Attack, CwL2, NiFgsm, Pgd, DEFAULT_ALPHA, DEFAULT_EPS};
 use ibrar_data::{SynthVision, SynthVisionConfig};
-use ibrar_nn::{ImageModel, VggConfig, VggMini};
+use ibrar_nn::{ImageModel, VggConfig, VggMini, VibHead, VibHeadConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -51,9 +49,8 @@ pub fn run(scale: &Scale) -> ExpResult<String> {
         let mut rng = StdRng::seed_from_u64(11);
         let inner = VggMini::new(VggConfig::tiny(k), &mut rng)?;
         let fc_width = inner.config().fc_width;
-        let vib = VibConfig::paper_default()
-            .with_bottleneck(fc_width / 2)
-            .wrap(inner, &mut rng)?;
+        let cfg = VibHeadConfig::paper_default().with_bottleneck(fc_width / 2);
+        let vib = VibHead::new(inner, cfg, &mut rng)?;
         Trainer::new(trainer_base(None, false)).train(&vib, &data.train, &data.test)?;
         models.push(("VIB".into(), Box::new(vib)));
     }

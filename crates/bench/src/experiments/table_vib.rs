@@ -9,16 +9,16 @@
 //!
 //! * **CE** — plain cross-entropy, no bottleneck;
 //! * **HSIC-IB** — the paper's own HSIC regularizer on the robust layers;
-//! * **VIB** — the deterministic variational head (`VibConfig`), whose
+//! * **VIB** — the deterministic variational head (`VibHead`), whose
 //!   frozen per-batch noise makes this whole table bitwise reproducible
 //!   at any `IBRAR_THREADS` (the seed policy is documented in
 //!   EXPERIMENTS.md).
 
 use crate::{attack_row, eval_model, Arch, ExpResult, Scale};
-use ibrar::{LayerPolicy, TrainMethod, Trainer, TrainerConfig, VibConfig};
+use ibrar::{LayerPolicy, TrainMethod, Trainer, TrainerConfig};
 use ibrar_analysis::TextTable;
 use ibrar_data::{SynthVision, SynthVisionConfig};
-use ibrar_nn::{ImageModel, VggConfig, VggMini};
+use ibrar_nn::{ImageModel, VggConfig, VggMini, VibHead, VibHeadConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -57,7 +57,7 @@ pub fn run(scale: &Scale) -> ExpResult<String> {
     {
         let mut rng = StdRng::seed_from_u64(22);
         let inner = VggMini::new(VggConfig::tiny(k), &mut rng)?;
-        let vib = VibConfig::paper_default().wrap(inner, &mut rng)?;
+        let vib = VibHead::new(inner, VibHeadConfig::paper_default(), &mut rng)?;
         Trainer::new(trainer(false)).train(&vib, &data.train, &data.test)?;
         models.push(("VIB", Box::new(vib)));
     }

@@ -17,7 +17,7 @@ pub use harness::{
     attack_row, attack_suite, eval_model, output_dir, run_binary, scaled_method, train_and_eval,
     write_output, Arch, EvalResult,
 };
-pub use scale::Scale;
+pub use scale::{Scale, SCALE_FLAGS};
 
 /// Experiment-level result alias (boxed error for binary `main`s).
 pub type ExpResult<T> = Result<T, Box<dyn std::error::Error>>;

@@ -20,13 +20,14 @@
 //!   the CE baseline.
 //! * [`AdaptiveIbObjective`] — the Appendix A.2 adaptive white-box attack
 //!   objective (PGD on the full IB-RAR loss).
-//! * [`VibConfig`] — the second IB family: a deterministic variational-IB
-//!   head ([`ibrar_nn::VibHead`]) with frozen per-batch reparameterization
-//!   noise and a learned Gaussian prior, composing with every
-//!   [`TrainMethod`] through `aux_loss`. It is the VIB baseline (Alemi
-//!   et al. 2017) of Fig. 2; HBaR (Wang et al. 2021) is expressed as
-//!   `IbLoss` over all layers with its own hyperparameters via
-//!   [`IbLossConfig::hbar`].
+//!
+//! The second IB family needs nothing from this crate: a deterministic
+//! variational-IB head ([`ibrar_nn::VibHead`], configured by
+//! [`ibrar_nn::VibHeadConfig`]) with frozen per-batch reparameterization
+//! noise and a learned Gaussian prior composes with every [`TrainMethod`]
+//! through `aux_loss`. It is the VIB baseline (Alemi et al. 2017) of
+//! Fig. 2; HBaR (Wang et al. 2021) is expressed as `IbLoss` over all layers
+//! with its own hyperparameters via [`IbLossConfig::hbar`].
 //!
 //! # Examples
 //!
@@ -62,7 +63,6 @@ mod layer_select;
 mod loss;
 mod mask;
 mod trainer;
-mod vib;
 
 pub use adaptive::AdaptiveIbObjective;
 pub use error::IbrarError;
@@ -70,7 +70,6 @@ pub use layer_select::{discover_robust_layers, robust_indices, LayerReport, Robu
 pub use loss::{IbLayerTerm, IbLoss, IbLossConfig, LayerPolicy};
 pub use mask::{compute_channel_mask, mask_from_scores, MaskConfig};
 pub use trainer::{EpochMetrics, TrainMethod, TrainReport, Trainer, TrainerConfig};
-pub use vib::VibConfig;
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, IbrarError>;

@@ -605,7 +605,7 @@ mod tests {
     use super::*;
     use crate::loss::LayerPolicy;
     use ibrar_data::{SynthVision, SynthVisionConfig};
-    use ibrar_nn::{VggConfig, VggMini};
+    use ibrar_nn::{VggConfig, VggMini, VibHead, VibHeadConfig};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -719,6 +719,64 @@ mod tests {
             .with_adversarial_tracking();
         let report = Trainer::new(config).train(&model, &train, &test).unwrap();
         assert!(report.epochs[0].adversarial_acc.is_some());
+    }
+
+    fn tiny_method(method: TrainMethod) -> TrainMethod {
+        // Shrink inner-attack budgets so the composition test stays fast.
+        match method {
+            TrainMethod::PgdAt { eps, alpha, .. } => TrainMethod::PgdAt {
+                eps,
+                alpha,
+                steps: 1,
+            },
+            TrainMethod::Trades {
+                beta, eps, alpha, ..
+            } => TrainMethod::Trades {
+                beta,
+                eps,
+                alpha,
+                steps: 1,
+            },
+            TrainMethod::Mart {
+                beta, eps, alpha, ..
+            } => TrainMethod::Mart {
+                beta,
+                eps,
+                alpha,
+                steps: 1,
+            },
+            TrainMethod::Standard => TrainMethod::Standard,
+        }
+    }
+
+    /// A VIB head composes with all four train methods with no trainer
+    /// changes: each folds the head's β·KL `aux_loss` into its objective.
+    #[test]
+    fn vib_composes_with_every_train_method() {
+        let data = SynthVision::generate(&SynthVisionConfig::cifar10_like().with_sizes(32, 16), 5)
+            .unwrap();
+        for method in [
+            TrainMethod::Standard,
+            TrainMethod::pgd_at_default(),
+            TrainMethod::trades_default(),
+            TrainMethod::mart_default(),
+        ] {
+            let mut rng = StdRng::seed_from_u64(3);
+            let inner = VggMini::new(VggConfig::tiny(10), &mut rng).unwrap();
+            let cfg = VibHeadConfig::paper_default().with_bottleneck(16);
+            let model = VibHead::new(inner, cfg, &mut rng).unwrap();
+            let report = Trainer::new(
+                TrainerConfig::new(tiny_method(method))
+                    .with_epochs(1)
+                    .with_batch_size(16),
+            )
+            .train(&model, &data.train, &data.test)
+            .unwrap();
+            assert!(
+                report.final_loss().is_finite(),
+                "{method:?} produced a non-finite loss"
+            );
+        }
     }
 
     #[test]

@@ -26,11 +26,9 @@ pub fn median_sigma(x: &Tensor) -> f32 {
     // identical for any thread count. Each distance uses the fixed 8-lane
     // accumulation order of `sqdist8` (shared with the oracle reference).
     //
-    // Deliberately NOT routed through the `ibrar_tensor::backend` seam: the
-    // σ widths feed the trainer's stop-gradient prepass and the bitwise
+    // The σ widths feed the trainer's stop-gradient prepass and the bitwise
     // goldens, and the oracle's `median_sigma` transcribes this exact lane
-    // order (DESIGN.md §12) — the order is part of the cross-backend numeric
-    // contract, so it must not change when `IBRAR_BACKEND=naive` is set.
+    // order (DESIGN.md §12), so the order is part of the numeric contract.
     let threads = parallel::threads_for(m * m * d / 2);
     let mut dists: Vec<f32> = parallel::run_chunked(m, threads, |rows| {
         let mut part = Vec::new();

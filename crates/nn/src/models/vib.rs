@@ -12,21 +12,21 @@
 //! # The noise-freezing contract (DESIGN.md §16)
 //!
 //! Training noise is never drawn from an ambient RNG. Each forward in
-//! [`Mode::Train`] derives one SplitMix64 stream
-//! ([`ibrar_oracle::Gen`]) from `noise_seed ⊕ FNV-1a(batch shape ‖ batch
-//! bits)` and draws its `K` Gaussian noise tensors from that stream in
-//! order. The noise is therefore a pure function of `(seed, batch)`:
-//! bitwise identical at every `IBRAR_THREADS`, across cold/warm worker
-//! pools, and replayable for golden snapshots. [`Mode::Eval`] uses `z = μ`
+//! [`Mode::Train`] seeds a fresh SplitMix64 `StdRng` with
+//! `noise_seed ⊕ FNV-1a(batch shape ‖ batch bits)` and draws its `K`
+//! Gaussian noise tensors from that stream in order, by Box–Muller with two
+//! uniform draws per value. The noise is therefore a pure function of
+//! `(seed, batch)`: bitwise identical at every `IBRAR_THREADS`, across
+//! cold/warm worker pools, and replayable for golden snapshots. [`Mode::Eval`] uses `z = μ`
 //! and touches no randomness at all, which keeps serving and
 //! gradient-based robustness probes deterministic.
 
 use crate::model::LayerKind;
 use crate::{ImageModel, Linear, Mode, ModelOutput, NnError, Parameter, Result, Session};
 use ibrar_autograd::{Tape, Var};
-use ibrar_oracle::Gen;
 use ibrar_tensor::Tensor;
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Additive floor keeping every standard deviation strictly positive even
 /// where `softplus` underflows.
@@ -128,6 +128,22 @@ fn noise_stream_seed(base: u64, x: &Tensor) -> u64 {
     h ^ base
 }
 
+/// A standard-normal tensor by Box–Muller. Each value takes exactly two
+/// uniform draws and no spare is cached, so `k` values always advance the
+/// stream by `2k` words: the noise of sample `j` does not depend on how the
+/// earlier samples were consumed.
+fn normal_noise(rng: &mut StdRng, shape: &[usize]) -> Tensor {
+    let data = (0..shape.iter().product())
+        .map(|_| {
+            // u1 ∈ (0, 1] keeps the log argument strictly positive.
+            let u1 = 1.0 - rng.gen::<f32>();
+            let u2 = rng.gen::<f32>();
+            (-2.0 * u1.ln()).sqrt() * (std::f32::consts::TAU * u2).cos()
+        })
+        .collect();
+    Tensor::from_vec(data, shape).expect("length matches shape by construction")
+}
+
 impl<M: ImageModel> VibHead<M> {
     /// Wraps `inner`, inferring the feature width from its last hidden tap
     /// via a zero-input probe forward (in [`Mode::Eval`], so the probe has
@@ -214,10 +230,11 @@ impl<M: ImageModel> ImageModel for VibHead<M> {
                 let sigma = Self::positive(self.sigma_head.forward(sess, h)?);
                 let n = mu.shape()[0];
                 let k = self.config.bottleneck;
-                let mut gen = Gen::new(noise_stream_seed(self.config.noise_seed, &x.value()));
+                let seed = noise_stream_seed(self.config.noise_seed, &x.value());
+                let mut rng = StdRng::seed_from_u64(seed);
                 let mut sum: Option<Var<'t>> = None;
                 for _ in 0..self.config.samples {
-                    let noise = gen.normal_tensor(&[n, k]);
+                    let noise = normal_noise(&mut rng, &[n, k]);
                     let z = mu.rsample(sigma, &noise)?;
                     let logits_k = self.classifier.forward(sess, z)?;
                     sum = Some(match sum {

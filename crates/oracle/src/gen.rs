@@ -61,9 +61,9 @@ impl Gen {
     /// Standard-normal f32 via the Box–Muller transform.
     ///
     /// Consumes exactly two `next_u64` draws per value (no cached spare),
-    /// so the stream position after `k` calls is the same on every build —
-    /// the property the VIB noise-freezing contract (DESIGN.md §16) relies
-    /// on.
+    /// so the stream position after `k` calls is the same on every build.
+    /// The VIB head's frozen noise (DESIGN.md §16) draws the same way from
+    /// the workspace's `StdRng`, whose raw words equal this stream's.
     pub fn normal_f32(&mut self) -> f32 {
         // u1 ∈ (0, 1] keeps the log argument strictly positive.
         let u1 = 1.0 - self.unit_f32();

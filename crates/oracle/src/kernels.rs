@@ -7,13 +7,12 @@
 //! Shape errors are programming errors in a test, so the functions assert
 //! rather than returning `Result`.
 //!
-//! The matmul family, the forward and backward convolution and the
-//! pairwise distances run their loops through [`Naive`], the serial backend
-//! of `ibrar_tensor::backend`, so the workspace keeps one copy of each naive
-//! loop. The integer GEMM twin (exact `i64` accumulation) and the bias
-//! gradient have no `Naive` counterpart and keep their own.
+//! These are the workspace's only naive loops: production code calls the
+//! tuned kernels directly, and the tests pin those against these. The matmul
+//! family, the convolution and the pairwise distances accumulate serially
+//! in ascending index order from `+0.0`; the integer GEMM twin accumulates
+//! exactly in `i64`.
 
-use ibrar_tensor::backend::{Backend, ConvGeom, Naive};
 use ibrar_tensor::{Conv2dSpec, Tensor};
 
 /// `[m, k] × [k, n] → [m, n]`, one dot product per output element.
@@ -24,7 +23,16 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     let (k2, n) = (b.shape()[0], b.shape()[1]);
     assert_eq!(k, k2, "inner dimensions disagree");
     let mut out = Tensor::zeros(&[m, n]);
-    Naive.gemm(a.data(), b.data(), out.data_mut(), m, k, n);
+    let (ad, bd, od) = (a.data(), b.data(), out.data_mut());
+    for i in 0..m {
+        for j in 0..n {
+            let mut acc = 0.0f32;
+            for t in 0..k {
+                acc += ad[i * k + t] * bd[t * n + j];
+            }
+            od[i * n + j] = acc;
+        }
+    }
     out
 }
 
@@ -36,7 +44,16 @@ pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
     let (n, k2) = (b.shape()[0], b.shape()[1]);
     assert_eq!(k, k2, "inner dimensions disagree");
     let mut out = Tensor::zeros(&[m, n]);
-    Naive.gemm_nt(a.data(), b.data(), out.data_mut(), m, k, n);
+    let (ad, bd, od) = (a.data(), b.data(), out.data_mut());
+    for i in 0..m {
+        for j in 0..n {
+            let mut acc = 0.0f32;
+            for t in 0..k {
+                acc += ad[i * k + t] * bd[j * k + t];
+            }
+            od[i * n + j] = acc;
+        }
+    }
     out
 }
 
@@ -48,11 +65,20 @@ pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Tensor {
     let (k2, n) = (b.shape()[0], b.shape()[1]);
     assert_eq!(k, k2, "inner dimensions disagree");
     let mut out = Tensor::zeros(&[m, n]);
-    Naive.gemm_tn(a.data(), b.data(), out.data_mut(), m, k, n);
+    let (ad, bd, od) = (a.data(), b.data(), out.data_mut());
+    for i in 0..m {
+        for j in 0..n {
+            let mut acc = 0.0f32;
+            for t in 0..k {
+                acc += ad[t * m + i] * bd[t * n + j];
+            }
+            od[i * n + j] = acc;
+        }
+    }
     out
 }
 
-/// Exact integer GEMM twin of `ibrar_tensor::qgemm::gemm_i8_nt`:
+/// Exact integer GEMM twin of `ibrar_tensor::qgemm::gemm_i8_packed`:
 /// `[m, k]i8 × [n, k]ᵀi8 → [m, n]`, accumulated in `i64` so the reference
 /// is exact regardless of depth — comparisons against the production
 /// kernel's `i32` results must therefore hold bit-for-bit whenever
@@ -75,9 +101,10 @@ pub fn gemm_i8_nt(a: &[i8], b: &[i8], m: usize, k: usize, n: usize) -> Vec<i64> 
 
 /// Direct 2-D convolution: `[n, c, h, w] ⊛ [oc, c, k, k] → [n, oc, oh, ow]`.
 ///
-/// [`Naive::conv2d_forward`]'s seven nested loops straight from the
-/// definition (one serial accumulator per output element, padding read as
-/// zero); `bias` (length `oc`) is then added per output channel when given.
+/// The seven nested loops of the definition: one serial accumulator per
+/// output element, ascending `(ci, ky, kx)` order, padding contributing an
+/// explicit zero product. `bias` (length `oc`) is then added per output
+/// channel when given.
 pub fn conv2d(x: &Tensor, weight: &Tensor, bias: Option<&Tensor>, spec: &Conv2dSpec) -> Tensor {
     assert_eq!(x.rank(), 4, "conv2d input must be rank 4");
     let (n, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
@@ -93,16 +120,37 @@ pub fn conv2d(x: &Tensor, weight: &Tensor, bias: Option<&Tensor>, spec: &Conv2dS
     );
     assert_eq!(c, spec.in_channels, "input channels do not match spec");
     let (oh, ow) = spec.out_hw(h, w).expect("valid geometry");
-    let mut out = Tensor::zeros(&[n, spec.out_channels, oh, ow]);
-    let geom = ConvGeom {
-        n,
-        h,
-        w,
-        oh,
-        ow,
-        spec: *spec,
-    };
-    Naive.conv2d_forward(x.data(), weight.data(), out.data_mut(), &geom);
+    let (k, oc, patch) = (spec.kernel, spec.out_channels, spec.patch_len());
+    let mut out = Tensor::zeros(&[n, oc, oh, ow]);
+    let (xd, wd, od) = (x.data(), weight.data(), out.data_mut());
+    for ni in 0..n {
+        for co in 0..oc {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let iy0 = (oy * spec.stride) as isize - spec.padding as isize;
+                    let ix0 = (ox * spec.stride) as isize - spec.padding as isize;
+                    let mut acc = 0.0f32;
+                    for ci in 0..c {
+                        let chan = (ni * c + ci) * h * w;
+                        for ky in 0..k {
+                            let iy = iy0 + ky as isize;
+                            for kx in 0..k {
+                                let ix = ix0 + kx as isize;
+                                let xv = if iy < 0 || iy >= h as isize || ix < 0 || ix >= w as isize
+                                {
+                                    0.0
+                                } else {
+                                    xd[chan + iy as usize * w + ix as usize]
+                                };
+                                acc += xv * wd[co * patch + (ci * k + ky) * k + kx];
+                            }
+                        }
+                    }
+                    od[((ni * oc + co) * oh + oy) * ow + ox] = acc;
+                }
+            }
+        }
+    }
     match bias {
         Some(b) => out.add(b).expect("bias holds one value per output channel"),
         None => out,
@@ -112,11 +160,12 @@ pub fn conv2d(x: &Tensor, weight: &Tensor, bias: Option<&Tensor>, spec: &Conv2dS
 /// Direct convolution backward: returns `(dx, dw, db)` for an upstream
 /// gradient `grad` of shape `[n, oc, oh, ow]`.
 ///
-/// `dx` and `dw` are [`Naive::conv2d_backward_input`] and
-/// [`Naive::conv2d_backward_weight`]: the forward loops walked again,
-/// scattering `grad · partner` into each operand — the transpose of the
-/// forward computation, with no im2col/col2im detour. `db` sums `grad` per
-/// output channel in the same `(n, co, oy, ox)` order.
+/// The forward loops walked again, scattering `grad · partner` into each
+/// operand — the transpose of the forward computation, with no
+/// im2col/col2im detour. `dx` receives `g·w` at every in-bounds input pixel
+/// a receptive field covers (padding positions receive nothing); `dw`
+/// accumulates `g·x`, padding contributing an explicit zero product. `db`
+/// sums `grad` per output channel in the same `(n, co, oy, ox)` order.
 pub fn conv2d_backward(
     x: &Tensor,
     weight: &Tensor,
@@ -125,22 +174,61 @@ pub fn conv2d_backward(
 ) -> (Tensor, Tensor, Tensor) {
     let (n, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
     let (oh, ow) = spec.out_hw(h, w).expect("valid geometry");
-    let (oc, k) = (spec.out_channels, spec.kernel);
+    let (oc, k, s, p) = (spec.out_channels, spec.kernel, spec.stride, spec.padding);
     assert_eq!(grad.shape(), &[n, oc, oh, ow], "grad shape mismatch");
-    let geom = ConvGeom {
-        n,
-        h,
-        w,
-        oh,
-        ow,
-        spec: *spec,
-    };
+    let (xd, wd, gd) = (x.data(), weight.data(), grad.data());
     let mut dx = Tensor::zeros(&[n, c, h, w]);
-    Naive.conv2d_backward_input(grad.data(), weight.data(), dx.data_mut(), &geom);
+    let dxd = dx.data_mut();
+    for ni in 0..n {
+        for co in 0..oc {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let g = gd[((ni * oc + co) * oh + oy) * ow + ox];
+                    for ci in 0..c {
+                        for ky in 0..k {
+                            for kx in 0..k {
+                                let iy = (oy * s + ky) as isize - p as isize;
+                                let ix = (ox * s + kx) as isize - p as isize;
+                                if iy < 0 || ix < 0 || iy as usize >= h || ix as usize >= w {
+                                    continue;
+                                }
+                                dxd[((ni * c + ci) * h + iy as usize) * w + ix as usize] +=
+                                    g * wd[((co * c + ci) * k + ky) * k + kx];
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
     let mut dw = Tensor::zeros(&[oc, c, k, k]);
-    Naive.conv2d_backward_weight(x.data(), grad.data(), dw.data_mut(), &geom);
+    let dwd = dw.data_mut();
+    for ni in 0..n {
+        for co in 0..oc {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let g = gd[((ni * oc + co) * oh + oy) * ow + ox];
+                    for ci in 0..c {
+                        for ky in 0..k {
+                            for kx in 0..k {
+                                let iy = (oy * s + ky) as isize - p as isize;
+                                let ix = (ox * s + kx) as isize - p as isize;
+                                let xv = if iy < 0 || ix < 0 || iy as usize >= h || ix as usize >= w
+                                {
+                                    0.0
+                                } else {
+                                    xd[((ni * c + ci) * h + iy as usize) * w + ix as usize]
+                                };
+                                dwd[((co * c + ci) * k + ky) * k + kx] += g * xv;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
     let mut db = Tensor::zeros(&[oc]);
-    let (gd, dbd) = (grad.data(), db.data_mut());
+    let dbd = db.data_mut();
     for ni in 0..n {
         for (co, b) in dbd.iter_mut().enumerate() {
             for &g in &gd[(ni * oc + co) * oh * ow..(ni * oc + co + 1) * oh * ow] {
@@ -160,7 +248,12 @@ pub fn pairwise_sqdist(x: &Tensor) -> Tensor {
     let od = out.data_mut();
     for i in 0..m {
         for j in 0..m {
-            od[i * m + j] = Naive.sqdist(&xd[i * d..(i + 1) * d], &xd[j * d..(j + 1) * d]);
+            let mut acc = 0.0f32;
+            for (a, b) in xd[i * d..(i + 1) * d].iter().zip(&xd[j * d..(j + 1) * d]) {
+                let diff = a - b;
+                acc += diff * diff;
+            }
+            od[i * m + j] = acc;
         }
     }
     out

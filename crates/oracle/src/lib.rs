@@ -1,6 +1,6 @@
 //! Reference oracles for the IB-RAR reproduction's numeric kernels.
 //!
-//! Every optimized kernel in the hot path — the matmul family, im2col
+//! Every optimized kernel in the hot path — the matmul family, the direct
 //! convolution, pairwise distances, Gaussian kernels, HSIC, softmax
 //! cross-entropy, and the attack step rules — has a deliberately naive
 //! counterpart here, written as the most direct transcription of its
@@ -10,11 +10,9 @@
 //! kernels can be tested *differentially* against them on seeded random
 //! inputs.
 //!
-//! The crate is a dev-dependency almost everywhere. The one production
-//! consumer is `ibrar-nn`, which uses [`Gen`]'s SplitMix64 stream as the
-//! noise source for the VIB head's frozen per-batch Gaussian draws
-//! (DESIGN.md §16): the same rand-independence that makes differential
-//! tests bit-stable makes VIB training replayable for goldens.
+//! The crate is a dev-dependency everywhere except `ibrar-bench`, whose
+//! `loadgen` bin draws its Poisson arrivals from [`Gen`]. Production kernels
+//! never call into it: the naive loops here are the only copy.
 //!
 //! Submodules:
 //!

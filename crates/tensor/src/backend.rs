@@ -1,497 +1,19 @@
-//! The kernel-backend seam: every hot-path kernel family behind one trait.
-//!
-//! PR 5/7 centralized the workspace's numeric inner loops (dense GEMM,
-//! quantized GEMM, convolution, the dot/sqdist reduction kernels, and
-//! hot-path output allocation) into `ibrar-tensor`. This module cuts the
-//! seam ROADMAP item 1 asked for: those entry points are now methods on
-//! [`Backend`], and a future SIMD-intrinsic, GPU, or distributed backend is
-//! a new impl rather than a rewrite.
-//!
-//! Two impls ship today:
-//!
-//! * [`CpuTuned`] (the default): the measured production kernels — scratch-
-//!   pool allocation, cache-tiled/parallel GEMM with the fixed 8-lane
-//!   reduction order, the packed 4×16 int8 microkernel, and the im2col-free
-//!   blocked direct convolution with its direct backward kernels.
-//! * [`Naive`]: the conformance reference — plain serial loops (single
-//!   accumulator, ascending index order, no blocking, no pooling, no
-//!   parallelism). They are the workspace's only copy of these loops:
-//!   `ibrar-oracle` computes its matmul family, forward and backward
-//!   convolution and pairwise distances by calling `Naive`, so the
-//!   conformance sweep checks [`CpuTuned`] against this one reference.
-//!
-//! # Conformance-suite-as-gate
-//!
-//! The oracle differential suites are the conformance bar: any backend must
-//! pass them. `scripts/ci.sh` runs the tensor/autograd/attacks differential
-//! suites once per backend (`IBRAR_BACKEND=naive` and the default), and
-//! `crates/tensor/tests/backend_conformance.rs` sweeps every [`Backend`]
-//! method of both impls against the oracle in one harness. A new backend
-//! joins the gate by appearing in [`ALL_BACKENDS`].
-//!
-//! # Selection and determinism
-//!
-//! The process-wide backend comes from `IBRAR_BACKEND` (`tuned` — default —
-//! or `naive`), read once. [`with_backend`] overrides it for the current
-//! thread (RAII, nests) — tests use it to compare backends in one process.
-//! The override is thread-local and is *not* captured by the worker pool:
-//! kernels dispatched from pool workers follow the process-wide setting.
-//! That is sound because backend dispatch happens once per op on the
-//! submitting thread; the parallel splits *inside* `CpuTuned` never
-//! re-dispatch.
-//!
-//! Bitwise results differ *between* backends (serial vs 8-lane reduction
-//! order) but each backend is individually deterministic across thread
-//! counts: `Naive` is serial, and `CpuTuned` keeps the documented
-//! per-element accumulation-order contract of DESIGN.md §9/§12. Golden
-//! snapshots are recorded under the default backend only.
-//!
-//! One reduction is deliberately **outside** the seam: `median_sigma`'s
-//! pairwise distances (`ibrar_infotheory`) stay pinned to the fixed 8-lane
-//! `simd::sqdist8` order regardless of backend. The σ widths it produces
-//! feed the trainer's stop-gradient prepass and the bitwise goldens, and the
-//! oracle's `median_sigma` transcribes that exact order — the lane order is
-//! part of the cross-backend numeric contract, not a backend detail.
+//! The name of the one kernel path. Nothing is selected here: the
+//! repository benchmark and the perf report record `current().name()` in
+//! their run headers, and this stub keeps that field reading `"tuned"`.
 
-use crate::{conv, matmul, qgemm, scratch, simd, Conv2dSpec};
-use std::cell::Cell;
-use std::sync::OnceLock;
-
-/// Geometry bundle for the [`Backend`] conv methods: input `[n, c, h, w]`,
-/// output `[n, oc, oh, ow]`, weights flattened to `[oc, c·k·k]`.
+/// The tuned kernel path, the only one.
 #[derive(Debug, Clone, Copy)]
-pub struct ConvGeom {
-    /// Batch size.
-    pub n: usize,
-    /// Input spatial height.
-    pub h: usize,
-    /// Input spatial width.
-    pub w: usize,
-    /// Output spatial height.
-    pub oh: usize,
-    /// Output spatial width.
-    pub ow: usize,
-    /// Channel/kernel/stride/padding geometry.
-    pub spec: Conv2dSpec,
-}
+pub struct Tuned;
 
-/// The kernel-family seam. Implementations must be individually
-/// deterministic (same inputs + same backend ⇒ same bits, for any thread
-/// count) and must pass the oracle conformance suites; they are *not*
-/// required to agree bitwise with each other.
-pub trait Backend: Send + Sync {
-    /// Short stable identifier (`"tuned"`, `"naive"`), also the
-    /// `IBRAR_BACKEND` value that selects the impl.
-    fn name(&self) -> &'static str;
-
-    /// A zeroed `len`-element output buffer, indistinguishable from
-    /// `vec![0.0; len]`. `CpuTuned` draws from the thread-local scratch
-    /// pool; `Naive` allocates fresh.
-    fn alloc(&self, len: usize) -> Vec<f32>;
-
-    /// Dense GEMM `[m, k] × [k, n] → [m, n]` into a zeroed `out`.
-    fn gemm(&self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize);
-
-    /// `A × Bᵀ` with `b` in `[n, k]` layout, into a zeroed `out`.
-    fn gemm_nt(&self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize);
-
-    /// `Aᵀ × B` with `a` in `[k, m]` layout, into a zeroed `out`.
-    fn gemm_tn(&self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize);
-
-    /// Matrix–vector product `[m, k] × [k] → [m]` into a zeroed `out`.
-    fn matvec(&self, a: &[f32], v: &[f32], out: &mut [f32], m: usize, k: usize);
-
-    /// Reduction kernel: `Σ a[i]·b[i]` over equal-length slices.
-    fn dot(&self, a: &[f32], b: &[f32]) -> f32;
-
-    /// Reduction kernel: `Σ (a[i]−b[i])²` over equal-length slices.
-    fn sqdist(&self, a: &[f32], b: &[f32]) -> f32;
-
-    /// Exact integer GEMM `[m, k]i8 × [n, k]ᵀi8 → [m, n]i32` into `out`.
-    /// Integer accumulation is associative, so any impl is bitwise exact;
-    /// callers enforce the [`qgemm::MAX_K`] depth bound.
-    fn qgemm_nt(&self, a: &[i8], b: &[i8], out: &mut [i32], m: usize, k: usize, n: usize);
-
-    /// Direct 2-D convolution forward into a zeroed NCHW `out`
-    /// (`[n, oc, oh, ow]`); `wmat` is the kernel flattened to `[oc, c·k·k]`.
-    fn conv2d_forward(&self, x: &[f32], wmat: &[f32], out: &mut [f32], geom: &ConvGeom);
-
-    /// Input gradient of [`Backend::conv2d_forward`] into a zeroed NCHW `dx`
-    /// (`[n, c, h, w]`), from the NCHW upstream `grad` (`[n, oc, oh, ow]`)
-    /// and the forward's `wmat` (`[oc, c·k·k]`).
-    fn conv2d_backward_input(&self, grad: &[f32], wmat: &[f32], dx: &mut [f32], geom: &ConvGeom);
-
-    /// Weight gradient of [`Backend::conv2d_forward`] into a zeroed `dw` in
-    /// the `wmat` layout (`[oc, c·k·k]`), from the forward's NCHW input `x`
-    /// and the NCHW upstream `grad`.
-    fn conv2d_backward_weight(&self, x: &[f32], grad: &[f32], dw: &mut [f32], geom: &ConvGeom);
-}
-
-/// The tuned production CPU backend (default).
-#[derive(Debug)]
-pub struct CpuTuned;
-
-/// The serial conformance-reference backend.
-#[derive(Debug)]
-pub struct Naive;
-
-static TUNED: CpuTuned = CpuTuned;
-static NAIVE: Naive = Naive;
-
-/// Every shipped backend, for conformance sweeps.
-pub static ALL_BACKENDS: [&dyn Backend; 2] = [&TUNED, &NAIVE];
-
-impl Backend for CpuTuned {
-    fn name(&self) -> &'static str {
+impl Tuned {
+    /// Always `"tuned"`.
+    pub fn name(&self) -> &'static str {
         "tuned"
     }
-
-    fn alloc(&self, len: usize) -> Vec<f32> {
-        scratch::take(len)
-    }
-
-    fn gemm(&self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-        matmul::gemm_tuned(a, b, out, m, k, n);
-    }
-
-    fn gemm_nt(&self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-        matmul::gemm_nt_tuned(a, b, out, m, k, n);
-    }
-
-    fn gemm_tn(&self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-        matmul::gemm_tn_tuned(a, b, out, m, k, n);
-    }
-
-    fn matvec(&self, a: &[f32], v: &[f32], out: &mut [f32], m: usize, k: usize) {
-        matmul::matvec_tuned(a, v, out, m, k);
-    }
-
-    fn dot(&self, a: &[f32], b: &[f32]) -> f32 {
-        simd::dot8(a, b)
-    }
-
-    fn sqdist(&self, a: &[f32], b: &[f32]) -> f32 {
-        simd::sqdist8(a, b)
-    }
-
-    fn qgemm_nt(&self, a: &[i8], b: &[i8], out: &mut [i32], m: usize, k: usize, n: usize) {
-        qgemm::qgemm_nt_tuned(a, b, out, m, k, n);
-    }
-
-    fn conv2d_forward(&self, x: &[f32], wmat: &[f32], out: &mut [f32], geom: &ConvGeom) {
-        conv::conv_forward_tuned(x, wmat, out, geom);
-    }
-
-    fn conv2d_backward_input(&self, grad: &[f32], wmat: &[f32], dx: &mut [f32], geom: &ConvGeom) {
-        conv::conv_backward_input_tuned(grad, wmat, dx, geom);
-    }
-
-    fn conv2d_backward_weight(&self, x: &[f32], grad: &[f32], dw: &mut [f32], geom: &ConvGeom) {
-        conv::conv_backward_weight_tuned(x, grad, dw, geom);
-    }
 }
 
-impl Backend for Naive {
-    fn name(&self) -> &'static str {
-        "naive"
-    }
-
-    fn alloc(&self, len: usize) -> Vec<f32> {
-        vec![0.0; len]
-    }
-
-    fn gemm(&self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-        for i in 0..m {
-            for j in 0..n {
-                let mut acc = 0.0f32;
-                for t in 0..k {
-                    acc += a[i * k + t] * b[t * n + j];
-                }
-                out[i * n + j] = acc;
-            }
-        }
-    }
-
-    fn gemm_nt(&self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-        for i in 0..m {
-            for j in 0..n {
-                let mut acc = 0.0f32;
-                for t in 0..k {
-                    acc += a[i * k + t] * b[j * k + t];
-                }
-                out[i * n + j] = acc;
-            }
-        }
-    }
-
-    fn gemm_tn(&self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-        for i in 0..m {
-            for j in 0..n {
-                let mut acc = 0.0f32;
-                for t in 0..k {
-                    acc += a[t * m + i] * b[t * n + j];
-                }
-                out[i * n + j] = acc;
-            }
-        }
-    }
-
-    fn matvec(&self, a: &[f32], v: &[f32], out: &mut [f32], m: usize, k: usize) {
-        for (i, o) in out.iter_mut().enumerate().take(m) {
-            let mut acc = 0.0f32;
-            for t in 0..k {
-                acc += a[i * k + t] * v[t];
-            }
-            *o = acc;
-        }
-    }
-
-    fn dot(&self, a: &[f32], b: &[f32]) -> f32 {
-        let mut acc = 0.0f32;
-        for (x, y) in a.iter().zip(b) {
-            acc += x * y;
-        }
-        acc
-    }
-
-    fn sqdist(&self, a: &[f32], b: &[f32]) -> f32 {
-        let mut acc = 0.0f32;
-        for (x, y) in a.iter().zip(b) {
-            let d = x - y;
-            acc += d * d;
-        }
-        acc
-    }
-
-    fn qgemm_nt(&self, a: &[i8], b: &[i8], out: &mut [i32], m: usize, k: usize, n: usize) {
-        for i in 0..m {
-            for j in 0..n {
-                let mut acc = 0i32;
-                for t in 0..k {
-                    acc += a[i * k + t] as i32 * b[j * k + t] as i32;
-                }
-                out[i * n + j] = acc;
-            }
-        }
-    }
-
-    fn conv2d_forward(&self, x: &[f32], wmat: &[f32], out: &mut [f32], geom: &ConvGeom) {
-        // The 7-loop direct convolution of the definition: one serial
-        // accumulator per output element, ascending (ci, ky, kx) order,
-        // padding contributes an explicit zero product.
-        let spec = &geom.spec;
-        let (c, k) = (spec.in_channels, spec.kernel);
-        let (oc, patch) = (spec.out_channels, spec.patch_len());
-        for ni in 0..geom.n {
-            for co in 0..oc {
-                for oy in 0..geom.oh {
-                    for ox in 0..geom.ow {
-                        let iy0 = (oy * spec.stride) as isize - spec.padding as isize;
-                        let ix0 = (ox * spec.stride) as isize - spec.padding as isize;
-                        let mut acc = 0.0f32;
-                        for ci in 0..c {
-                            let chan = (ni * c + ci) * geom.h * geom.w;
-                            for ky in 0..k {
-                                let iy = iy0 + ky as isize;
-                                for kx in 0..k {
-                                    let ix = ix0 + kx as isize;
-                                    let xv = if iy < 0
-                                        || iy >= geom.h as isize
-                                        || ix < 0
-                                        || ix >= geom.w as isize
-                                    {
-                                        0.0
-                                    } else {
-                                        x[chan + iy as usize * geom.w + ix as usize]
-                                    };
-                                    acc += xv * wmat[co * patch + (ci * k + ky) * k + kx];
-                                }
-                            }
-                        }
-                        out[((ni * oc + co) * geom.oh + oy) * geom.ow + ox] = acc;
-                    }
-                }
-            }
-        }
-    }
-
-    fn conv2d_backward_input(&self, grad: &[f32], wmat: &[f32], dx: &mut [f32], geom: &ConvGeom) {
-        // The forward loops with the product scattered back: each upstream
-        // element `g` adds `g·w` into every in-bounds input pixel its
-        // receptive field covers (padding positions receive nothing).
-        let spec = &geom.spec;
-        let (c, k, s, p) = (spec.in_channels, spec.kernel, spec.stride, spec.padding);
-        let (h, w, oh, ow) = (geom.h, geom.w, geom.oh, geom.ow);
-        let oc = spec.out_channels;
-        for ni in 0..geom.n {
-            for co in 0..oc {
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let g = grad[((ni * oc + co) * oh + oy) * ow + ox];
-                        for ci in 0..c {
-                            for ky in 0..k {
-                                for kx in 0..k {
-                                    let iy = (oy * s + ky) as isize - p as isize;
-                                    let ix = (ox * s + kx) as isize - p as isize;
-                                    if iy < 0 || ix < 0 || iy as usize >= h || ix as usize >= w {
-                                        continue;
-                                    }
-                                    dx[((ni * c + ci) * h + iy as usize) * w + ix as usize] +=
-                                        g * wmat[((co * c + ci) * k + ky) * k + kx];
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    fn conv2d_backward_weight(&self, x: &[f32], grad: &[f32], dw: &mut [f32], geom: &ConvGeom) {
-        // The forward loops with `g·x` accumulated into the weight it
-        // multiplied; padding positions contribute an explicit zero product.
-        let spec = &geom.spec;
-        let (c, k, s, p) = (spec.in_channels, spec.kernel, spec.stride, spec.padding);
-        let (h, w, oh, ow) = (geom.h, geom.w, geom.oh, geom.ow);
-        let oc = spec.out_channels;
-        for ni in 0..geom.n {
-            for co in 0..oc {
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let g = grad[((ni * oc + co) * oh + oy) * ow + ox];
-                        for ci in 0..c {
-                            for ky in 0..k {
-                                for kx in 0..k {
-                                    let iy = (oy * s + ky) as isize - p as isize;
-                                    let ix = (ox * s + kx) as isize - p as isize;
-                                    let xv =
-                                        if iy < 0 || ix < 0 || iy as usize >= h || ix as usize >= w
-                                        {
-                                            0.0
-                                        } else {
-                                            x[((ni * c + ci) * h + iy as usize) * w + ix as usize]
-                                        };
-                                    dw[((co * c + ci) * k + ky) * k + kx] += g * xv;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-fn env_kind() -> &'static dyn Backend {
-    static ENV: OnceLock<&'static dyn Backend> = OnceLock::new();
-    *ENV.get_or_init(|| match std::env::var("IBRAR_BACKEND") {
-        Ok(v) if v.trim() == "naive" => &NAIVE,
-        Ok(v) if !v.trim().is_empty() && v.trim() != "tuned" => {
-            eprintln!(
-                "[ibrar-tensor] unknown IBRAR_BACKEND '{}', using 'tuned' \
-                 (known: tuned, naive)",
-                v.trim()
-            );
-            &TUNED
-        }
-        _ => &TUNED,
-    })
-}
-
-thread_local! {
-    static OVERRIDE: Cell<Option<&'static dyn Backend>> = const { Cell::new(None) };
-}
-
-/// The active backend for this thread: the innermost [`with_backend`]
-/// override if one is live, else the process-wide `IBRAR_BACKEND` choice.
-pub fn current() -> &'static dyn Backend {
-    OVERRIDE.with(Cell::get).unwrap_or_else(env_kind)
-}
-
-/// RAII guard restoring the previous backend override on drop.
-pub struct BackendScope {
-    prev: Option<&'static dyn Backend>,
-}
-
-impl std::fmt::Debug for BackendScope {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BackendScope")
-            .field("prev", &self.prev.map(|b| b.name()))
-            .finish()
-    }
-}
-
-impl Drop for BackendScope {
-    fn drop(&mut self) {
-        OVERRIDE.with(|o| o.set(self.prev));
-    }
-}
-
-/// Overrides the active backend for the current thread until the returned
-/// guard drops. Nests like `parallel::with_threads`. Thread-local: worker
-/// threads keep the process-wide backend (see the module docs).
-#[must_use = "the override ends when the guard drops"]
-pub fn with_backend(backend: &'static dyn Backend) -> BackendScope {
-    let prev = OVERRIDE.with(|o| o.replace(Some(backend)));
-    BackendScope { prev }
-}
-
-/// Free-function reduction entry point: `Σ a[i]·b[i]` on the active backend.
-pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    current().dot(a, b)
-}
-
-/// Free-function reduction entry point: `Σ (a[i]−b[i])²` on the active
-/// backend.
-pub fn sqdist(a: &[f32], b: &[f32]) -> f32 {
-    current().sqdist(a, b)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn default_backend_is_tuned() {
-        // The test process does not set IBRAR_BACKEND.
-        assert_eq!(current().name(), "tuned");
-    }
-
-    #[test]
-    fn with_backend_overrides_and_restores() {
-        assert_eq!(current().name(), "tuned");
-        {
-            let _g = with_backend(&Naive);
-            assert_eq!(current().name(), "naive");
-            {
-                let _g2 = with_backend(&CpuTuned);
-                assert_eq!(current().name(), "tuned");
-            }
-            assert_eq!(current().name(), "naive");
-        }
-        assert_eq!(current().name(), "tuned");
-    }
-
-    #[test]
-    fn naive_reductions_are_serial_order() {
-        let a: Vec<f32> = (0..37).map(|i| (i as f32 * 0.7).sin()).collect();
-        let b: Vec<f32> = (0..37).map(|i| (i as f32 * 0.3).cos()).collect();
-        let mut acc = 0.0f32;
-        for (x, y) in a.iter().zip(&b) {
-            acc += x * y;
-        }
-        assert_eq!(Naive.dot(&a, &b).to_bits(), acc.to_bits());
-        let mut sq = 0.0f32;
-        for (x, y) in a.iter().zip(&b) {
-            let d = x - y;
-            sq += d * d;
-        }
-        assert_eq!(Naive.sqdist(&a, &b).to_bits(), sq.to_bits());
-    }
-
-    #[test]
-    fn all_backends_lists_both() {
-        let names: Vec<&str> = ALL_BACKENDS.iter().map(|b| b.name()).collect();
-        assert_eq!(names, vec!["tuned", "naive"]);
-    }
+/// Kept only because run headers record `current().name()`.
+pub fn current() -> Tuned {
+    Tuned
 }

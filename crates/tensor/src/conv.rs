@@ -1,10 +1,12 @@
 //! 2-D convolution support: geometry, the direct forward and backward
 //! kernels, and the `im2col` / `col2im` references.
 //!
-//! A conv runs three direct kernels dispatched through the
-//! [`crate::backend`] seam: [`conv2d_forward`], [`conv2d_backward_input`]
-//! and [`conv2d_backward_weight`]. None of them materializes a patch matrix
-//! or a transposed gradient. [`im2col`] and [`col2im`] have no library
+//! A conv runs three direct kernels: [`conv2d_forward`],
+//! [`conv2d_backward_input`] and [`conv2d_backward_weight`] validate their
+//! shapes, take a zeroed output from the scratch pool and call the
+//! matching tuned kernel. None of them materializes a patch matrix or a
+//! transposed gradient. The naive seven-loop forms they are checked against
+//! live in `ibrar-oracle`. [`im2col`] and [`col2im`] have no library
 //! caller; they stay as the GEMM pipeline the direct kernels are pinned
 //! against bit for bit (`tests/backend_conformance.rs`) and as a
 //! benchmarked data-movement kernel.
@@ -52,7 +54,6 @@
 //! or output channels (`dW`), never one element's sum. DESIGN.md §17 has
 //! the full argument.
 
-use crate::backend::{self, ConvGeom};
 use crate::{parallel, scratch, simd, Result, Tensor, TensorError};
 
 /// Geometry of a 2-D convolution or correlation.
@@ -130,15 +131,26 @@ impl Conv2dSpec {
     }
 }
 
+/// The validated geometry the tuned kernels read: input `[n, c, h, w]`,
+/// output `[n, oc, oh, ow]`, weights flattened to `[oc, c·k·k]`. Built only
+/// by the entry points below, after their shape checks.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ConvGeom {
+    n: usize,
+    h: usize,
+    w: usize,
+    oh: usize,
+    ow: usize,
+    spec: Conv2dSpec,
+}
+
 /// Direct 2-D convolution forward: `[n, c, h, w] ⋆ [oc, c·k·k] →
-/// [n, oc, oh, ow]`, dispatched through the active
-/// [`Backend`](crate::backend::Backend).
+/// [n, oc, oh, ow]`.
 ///
 /// `wmat` is the kernel tensor flattened to `[out_channels, patch_len]` —
 /// the same layout the im2col formulation multiplies against, so weights
 /// need no repacking. Bitwise identical to `im2col(x) × wmatᵀ` reshaped to
-/// NCHW under the tuned backend (see the module docs) without
-/// materializing the patch matrix.
+/// NCHW (see the module docs) without materializing the patch matrix.
 ///
 /// # Errors
 ///
@@ -170,23 +182,21 @@ pub fn conv2d_forward(input: &Tensor, wmat: &Tensor, spec: &Conv2dSpec) -> Resul
         ow,
         spec: *spec,
     };
-    let be = backend::current();
-    let mut out = be.alloc(crate::shape::checked_volume(
+    let mut out = scratch::take(crate::shape::checked_volume(
         &[n, spec.out_channels, oh, ow],
         "conv2d_forward",
     )?);
-    be.conv2d_forward(input.data(), wmat.data(), &mut out, &geom);
+    conv_forward_tuned(input.data(), wmat.data(), &mut out, &geom);
     Tensor::from_vec(out, &[n, spec.out_channels, oh, ow])
 }
 
 /// Input gradient of [`conv2d_forward`]: `∂L/∂x` (`[n, c, h, w]`) for the
-/// NCHW upstream gradient `grad` (`[n, oc, oh, ow]`) of an `h × w` input,
-/// dispatched through the active [`Backend`](crate::backend::Backend).
+/// NCHW upstream gradient `grad` (`[n, oc, oh, ow]`) of an `h × w` input.
 ///
 /// `wmat` is the forward's `[out_channels, patch_len]` kernel matrix. The
 /// input size is an argument because a strided output does not determine
-/// it. Under the tuned backend the result is bitwise
-/// `col2im(rows(grad) × wmat)` (see the module docs).
+/// it. The result is bitwise `col2im(rows(grad) × wmat)` (see the module
+/// docs).
 ///
 /// # Errors
 ///
@@ -211,22 +221,20 @@ pub fn conv2d_backward_input(
         });
     }
     let dims = [n, spec.in_channels, h, w];
-    let be = backend::current();
-    let mut dx = be.alloc(crate::shape::checked_volume(
+    let mut dx = scratch::take(crate::shape::checked_volume(
         &dims,
         "conv2d_backward_input",
     )?);
-    be.conv2d_backward_input(grad.data(), wmat.data(), &mut dx, &geom);
+    conv_backward_input_tuned(grad.data(), wmat.data(), &mut dx, &geom);
     Tensor::from_vec(dx, &dims)
 }
 
 /// Weight gradient of [`conv2d_forward`]: `∂L/∂W` as an
 /// `[out_channels, in_channels, k, k]` kernel tensor, for the forward's
-/// input `input` and the NCHW upstream gradient `grad`, dispatched through
-/// the active [`Backend`](crate::backend::Backend).
+/// input `input` and the NCHW upstream gradient `grad`.
 ///
-/// Under the tuned backend the result is bitwise
-/// `rows(grad)ᵀ × im2col(input)` (see the module docs).
+/// The result is bitwise `rows(grad)ᵀ × im2col(input)` (see the module
+/// docs).
 ///
 /// # Errors
 ///
@@ -250,12 +258,11 @@ pub fn conv2d_backward_weight(input: &Tensor, grad: &Tensor, spec: &Conv2dSpec) 
     }
     let geom = backward_geom(grad, n, h, w, spec, "conv2d_backward_weight")?;
     let dims = [spec.out_channels, c, spec.kernel, spec.kernel];
-    let be = backend::current();
-    let mut dw = be.alloc(crate::shape::checked_volume(
+    let mut dw = scratch::take(crate::shape::checked_volume(
         &dims,
         "conv2d_backward_weight",
     )?);
-    be.conv2d_backward_weight(input.data(), grad.data(), &mut dw, &geom);
+    conv_backward_weight_tuned(input.data(), grad.data(), &mut dw, &geom);
     Tensor::from_vec(dw, &dims)
 }
 
@@ -351,7 +358,8 @@ pub fn gather_patch_rows(
     }
 }
 
-/// Tuned direct-conv kernel for [`crate::backend::CpuTuned`].
+/// The tuned direct-conv kernel behind [`conv2d_forward`], into a zeroed
+/// `out`.
 ///
 /// Samples split across threads (each sample's `oc·oh·ow` region is
 /// disjoint). On AVX2 hosts a stride-1 conv whose output rows are a
@@ -365,7 +373,7 @@ pub fn gather_patch_rows(
 /// overlap in the pipeline. On either path every output element is one
 /// full-length `dot8`-ordered reduction over exactly the im2col row
 /// content, preserving the bitwise contract described in the module docs.
-pub(crate) fn conv_forward_tuned(x: &[f32], wmat: &[f32], out: &mut [f32], geom: &ConvGeom) {
+fn conv_forward_tuned(x: &[f32], wmat: &[f32], out: &mut [f32], geom: &ConvGeom) {
     let spec = &geom.spec;
     let (c, oc, patch) = (spec.in_channels, spec.out_channels, spec.patch_len());
     let (h, w, oh, ow) = (geom.h, geom.w, geom.oh, geom.ow);
@@ -450,8 +458,8 @@ fn conv_forward_pixel_lanes(
     // At stride 1, oh = hp−k+1 and ow = wp−k+1, and `off` ascends to
     // ((c−1)·hp + k−1)·wp + k−1, so the largest index the kernel reads,
     // off[patch−1] + (oh−1)·wp + ow − 1, is exactly c·hp·wp − 1: the last
-    // element of the padded copy. The kernel reads unchecked and `ConvGeom`
-    // is public, so this is asserted, not assumed.
+    // element of the padded copy. The kernel reads unchecked, so this is
+    // asserted, not assumed.
     let len = c * hp * wp;
     assert!(
         oh > 0 && off[off.len() - 1] + (oh - 1) * wp + ow == len,
@@ -532,7 +540,8 @@ fn nonzero_terms(pairs: impl Iterator<Item = (f32, usize)>, terms: &mut [(f32, u
     len
 }
 
-/// Tuned direct input-gradient kernel for [`crate::backend::CpuTuned`].
+/// The tuned direct input-gradient kernel behind [`conv2d_backward_input`],
+/// into a zeroed `dx`.
 ///
 /// Samples split across threads (each sample's `c·h·w` region of `dx` is
 /// disjoint). Per output pixel, in ascending `(oy, ox)`: list the nonzero
@@ -540,12 +549,7 @@ fn nonzero_terms(pairs: impl Iterator<Item = (f32, usize)>, terms: &mut [(f32, u
 /// into a patch-gradient row with [`simd::axpy8_terms`] from +0, and
 /// scatter the row into `dx` with [`scatter_patch_row`]. Bitwise
 /// `col2im(rows(grad) × wmat)` (module docs).
-pub(crate) fn conv_backward_input_tuned(
-    grad: &[f32],
-    wmat: &[f32],
-    dx: &mut [f32],
-    geom: &ConvGeom,
-) {
+fn conv_backward_input_tuned(grad: &[f32], wmat: &[f32], dx: &mut [f32], geom: &ConvGeom) {
     let spec = &geom.spec;
     let (oc, patch) = (spec.out_channels, spec.patch_len());
     let (h, w, ow) = (geom.h, geom.w, geom.ow);
@@ -573,7 +577,8 @@ pub(crate) fn conv_backward_input_tuned(
     });
 }
 
-/// Tuned direct weight-gradient kernel for [`crate::backend::CpuTuned`].
+/// The tuned direct weight-gradient kernel behind [`conv2d_backward_weight`],
+/// into a zeroed `dw`.
 ///
 /// Output channels split across threads (each channel's `dw` row is
 /// disjoint). Per sample, gather its patch rows once
@@ -583,7 +588,7 @@ pub(crate) fn conv_backward_input_tuned(
 /// [`simd::axpy8_terms`]. Samples ascend outermost, so every element sums
 /// over ascending `(n, oy, ox)`: bitwise `rows(grad)ᵀ × im2col(x)` (module
 /// docs).
-pub(crate) fn conv_backward_weight_tuned(x: &[f32], grad: &[f32], dw: &mut [f32], geom: &ConvGeom) {
+fn conv_backward_weight_tuned(x: &[f32], grad: &[f32], dw: &mut [f32], geom: &ConvGeom) {
     let spec = &geom.spec;
     let (oc, patch) = (spec.out_channels, spec.patch_len());
     let (h, w, ow) = (geom.h, geom.w, geom.ow);

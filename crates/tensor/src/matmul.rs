@@ -1,11 +1,15 @@
 //! Matrix multiplication kernels.
 //!
+//! [`Tensor::matmul`], [`Tensor::matmul_nt`] and [`Tensor::matmul_tn`]
+//! validate their shapes, take a zeroed output from the [`crate::scratch`]
+//! pool and call the tuned kernel below; there is no other path. The naive
+//! loops they are checked against live in `ibrar-oracle`.
+//!
 //! A cache-tiled, `ikj`-ordered kernel with a row-parallel path (via
 //! [`crate::parallel`]) for large products. Output rows are split into
 //! contiguous chunks and each chunk's accumulation order matches the serial
 //! kernel, so results are bitwise identical for any thread count. Inner
-//! loops are the fixed-order 8-lane kernels from [`crate::simd`] and output
-//! buffers come from the [`crate::scratch`] pool.
+//! loops are the fixed-order 8-lane kernels from [`crate::simd`].
 //!
 //! # Tiling and the numeric contract
 //!
@@ -16,10 +20,10 @@
 //! through it — but only once B itself outgrows L1
 //! ([`TILE_MIN_B_ELEMS`]); a cache-resident B takes the untiled
 //! full-row-AXPY walk, which produces the same bits in the same per-element
-//! order without the short-AXPY overhead. [`matmul_nt`](Tensor::matmul_nt) (the conv-forward
-//! workhorse) tiles B rows in groups of [`NT_TILE_J`] so the tile is reused
-//! across every output row of a chunk instead of streaming all of B per
-//! row. Neither tiling changes a single bit of output: each output element
+//! order without the short-AXPY overhead. [`matmul_nt`](Tensor::matmul_nt)
+//! (the input-gradient workhorse of the linear layer) tiles B rows in groups
+//! of [`NT_TILE_J`] so the tile is reused across every output row of a chunk
+//! instead of streaming all of B per row. Neither tiling changes a single bit of output: each output element
 //! still accumulates its k-products in ascending-k order (`matmul`) or in
 //! one full-length [`simd::dot8`] call (`matmul_nt`), which are pure
 //! functions of the operands — the tile loops only reorder *which element*
@@ -30,7 +34,7 @@
 //! in the tests and by property tests; order-preservation is pinned by
 //! bitwise tests against literal reference loops.
 
-use crate::{backend, parallel, shape, simd, Result, Tensor, TensorError};
+use crate::{parallel, scratch, shape, simd, Result, Tensor, TensorError};
 
 /// Cache block edge (in elements) for output rows (i dimension).
 const BLOCK_I: usize = 32;
@@ -78,9 +82,8 @@ impl Tensor {
                 rhs_rows: k2,
             });
         }
-        let be = backend::current();
-        let mut out = be.alloc(shape::checked_volume(&[m, n], "matmul")?);
-        be.gemm(self.data(), rhs.data(), &mut out, m, k, n);
+        let mut out = scratch::take(shape::checked_volume(&[m, n], "matmul")?);
+        gemm_tuned(self.data(), rhs.data(), &mut out, m, k, n);
         Tensor::from_vec(out, &[m, n])
     }
 
@@ -100,9 +103,8 @@ impl Tensor {
                 rhs_rows: k2,
             });
         }
-        let be = backend::current();
-        let mut out = be.alloc(shape::checked_volume(&[m, n], "matmul_nt")?);
-        be.gemm_nt(self.data(), rhs.data(), &mut out, m, k, n);
+        let mut out = scratch::take(shape::checked_volume(&[m, n], "matmul_nt")?);
+        gemm_nt_tuned(self.data(), rhs.data(), &mut out, m, k, n);
         Tensor::from_vec(out, &[m, n])
     }
 
@@ -122,50 +124,15 @@ impl Tensor {
                 rhs_rows: k2,
             });
         }
-        let be = backend::current();
-        let mut out = be.alloc(shape::checked_volume(&[m, n], "matmul_tn")?);
-        be.gemm_tn(self.data(), rhs.data(), &mut out, m, k, n);
+        let mut out = scratch::take(shape::checked_volume(&[m, n], "matmul_tn")?);
+        gemm_tn_tuned(self.data(), rhs.data(), &mut out, m, k, n);
         Tensor::from_vec(out, &[m, n])
-    }
-
-    /// Matrix–vector product: `[m, k] × [k] → [m]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the same errors as [`Tensor::matmul`].
-    pub fn matvec(&self, rhs: &Tensor) -> Result<Tensor> {
-        self.shape_obj().expect_rank(2, "matvec")?;
-        rhs.shape_obj().expect_rank(1, "matvec")?;
-        let (m, k) = (self.shape()[0], self.shape()[1]);
-        if rhs.len() != k {
-            return Err(TensorError::MatmulDimMismatch {
-                lhs_cols: k,
-                rhs_rows: rhs.len(),
-            });
-        }
-        // The output length is the single extent m (no product to overflow),
-        // but route through the same checked-sizing guard for uniformity.
-        let be = backend::current();
-        let mut out = be.alloc(shape::checked_volume(&[m], "matvec")?);
-        be.matvec(self.data(), rhs.data(), &mut out, m, k);
-        Tensor::from_vec(out, &[m])
-    }
-
-    /// Dot product of two rank-1 tensors.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when lengths differ or ranks are not 1.
-    pub fn dot(&self, rhs: &Tensor) -> Result<f32> {
-        self.shape_obj().expect_rank(1, "dot")?;
-        rhs.shape_obj().expect_same(self.shape_obj(), "dot")?;
-        Ok(backend::current().dot(self.data(), rhs.data()))
     }
 }
 
-/// Tuned GEMM entry point for [`crate::backend::CpuTuned`]: work-gated
-/// parallel row split over the cache-tiled kernel.
-pub(crate) fn gemm_tuned(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+/// The GEMM behind [`Tensor::matmul`]: work-gated parallel row split over
+/// the cache-tiled kernel, into a zeroed `out`.
+fn gemm_tuned(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     let threads = parallel::threads_for(m.saturating_mul(n).saturating_mul(k));
     if threads > 1 && m >= 2 {
         matmul_parallel(a, b, out, k, n, threads);
@@ -174,18 +141,19 @@ pub(crate) fn gemm_tuned(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usi
     }
 }
 
-/// Tuned `A × Bᵀ` entry point (`b` in `[n, k]` layout).
+/// The `A × Bᵀ` behind [`Tensor::matmul_nt`] (`b` in `[n, k]` layout).
 ///
 /// Each output row is an independent batch of dot products; rows split
-/// across threads (this is the linear-forward workhorse). Within a chunk, B
-/// rows are tiled in groups of [`NT_TILE_J`] so a tile (`NT_TILE_J × k`
-/// floats) is reused across every output row of the chunk, and consumed in
-/// blocks of eight ([`simd::dot8_x8`], then `dot8_x4`/`dot8` cleanup) so
-/// independent accumulator chains overlap in the pipeline. Each element is
+/// across threads (this is the linear input-gradient workhorse). Within a
+/// chunk, B rows are tiled in groups of [`NT_TILE_J`] so a tile
+/// (`NT_TILE_J × k` floats) is reused across every output row of the chunk,
+/// and consumed in blocks of eight ([`simd::dot8_x8`], then
+/// `dot8_x4`/`dot8` cleanup) so independent accumulator chains overlap in
+/// the pipeline. Each element is
 /// still one full-length `dot8`-ordered reduction — a pure function of its
 /// operands — so the row split, the tile loop, and the multi-output blocks
 /// all stay bitwise thread-count invariant.
-pub(crate) fn gemm_nt_tuned(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+fn gemm_nt_tuned(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     let threads = parallel::threads_for(m.saturating_mul(n).saturating_mul(k));
     parallel::par_chunks_mut(out, n, threads, |rows, region| {
         for j0 in (0..n).step_by(NT_TILE_J) {
@@ -215,13 +183,14 @@ pub(crate) fn gemm_nt_tuned(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: 
     });
 }
 
-/// Tuned `Aᵀ × B` entry point (`a` in `[k, m]` layout).
+/// The `Aᵀ × B` behind [`Tensor::matmul_tn`] (`a` in `[k, m]` layout), into
+/// a zeroed `out`.
 ///
 /// `ikj` order over the transposed access pattern: accumulate row i of out
 /// from column i of a. Row chunks keep the per-row accumulation order
 /// (t ascending) identical to the serial kernel; the AXPY body is
 /// element-wise, so unrolling it changes no bits.
-pub(crate) fn gemm_tn_tuned(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+fn gemm_tn_tuned(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     let threads = parallel::threads_for(m.saturating_mul(n).saturating_mul(k));
     parallel::par_chunks_mut(out, n, threads, |rows, region| {
         for t in 0..k {
@@ -235,15 +204,6 @@ pub(crate) fn gemm_tn_tuned(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: 
                 simd::axpy8(av, brow, orow);
             }
         }
-    });
-}
-
-/// Tuned matrix–vector entry point: rows split across threads exactly like
-/// `gemm_nt` with `n = 1`.
-pub(crate) fn matvec_tuned(a: &[f32], v: &[f32], out: &mut [f32], m: usize, k: usize) {
-    let threads = parallel::threads_for(m.saturating_mul(k));
-    parallel::par_items_mut(out, 1, threads, |i, o| {
-        o[0] = simd::dot8(&a[i * k..(i + 1) * k], v);
     });
 }
 
@@ -476,13 +436,5 @@ mod tests {
         }
         // And sanity-check the values against the naive reference.
         assert!(serial.max_abs_diff(&naive(&a, &b)).unwrap() < 1e-2);
-    }
-
-    #[test]
-    fn matvec_and_dot() {
-        let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]).unwrap();
-        let v = Tensor::from_vec(vec![1.0, -1.0], &[2]).unwrap();
-        assert_eq!(a.matvec(&v).unwrap().data(), &[-1.0, -1.0]);
-        assert_eq!(v.dot(&v).unwrap(), 2.0);
     }
 }

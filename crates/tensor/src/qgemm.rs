@@ -9,12 +9,13 @@
 //!
 //! # Determinism
 //!
-//! Integer accumulation is exact and associative, so [`gemm_i8_nt`] is
-//! bitwise deterministic for any thread count — and across backends — by
-//! construction: there is no lane-order contract to preserve, which is what
-//! frees the tuned kernel to tile and reorder aggressively. The row split
-//! still uses the fixed contiguous chunks of [`crate::parallel`] like every
-//! other kernel.
+//! Integer accumulation is exact and associative, so [`gemm_i8_packed`] is
+//! bitwise deterministic for any thread count by construction: there is no
+//! lane-order contract to preserve, which is what frees the tuned kernel to
+//! tile and reorder aggressively. The row split still uses the fixed
+//! contiguous chunks of [`crate::parallel`] like every other kernel. The
+//! one naive reference is `ibrar_oracle::kernels::gemm_i8_nt`, which
+//! accumulates in `i64`.
 //!
 //! # The packed-panel kernel
 //!
@@ -45,8 +46,7 @@
 //!   the `[m, k]` side stays unpacked — A rows are already contiguous in
 //!   the `t` direction.
 //!
-//! Packing costs `O(n·k)` against `O(m·n·k)` compute and is recouped even
-//! when [`gemm_i8_nt`] packs internally per call.
+//! Packing costs `O(n·k)` against `O(m·n·k)` compute.
 //!
 //! # Why per-row activation scales
 //!
@@ -60,10 +60,11 @@
 //!
 //! Each product is at most `127 × 127 = 16129`, so `i32` accumulation is
 //! exact while `k ≤` [`MAX_K`] (≈ 133k) — far above any reduction depth in
-//! the workspace. [`gemm_i8_nt`] rejects deeper reductions with a typed
-//! error instead of risking silent wraparound.
+//! the workspace. [`PackedQuantB::pack`] rejects deeper reductions with a
+//! typed error instead of risking silent wraparound, so no packed operand
+//! can reach the kernel past the bound.
 
-use crate::{backend, parallel, shape, Result, TensorError};
+use crate::{parallel, shape, Result, TensorError};
 
 /// Largest reduction depth for which `i32` accumulation of `i8 × i8`
 /// products cannot overflow: `floor(i32::MAX / 127²)`.
@@ -309,43 +310,6 @@ fn row_maxabs(row: &[f32]) -> f32 {
     maxabs
 }
 
-/// Exact integer GEMM against a transposed rhs:
-/// `[m, k] × [n, k]ᵀ → [m, n]` with `i32` accumulation.
-///
-/// Mirrors the f32 `matmul_nt` layout (the conv/linear forward shape): row
-/// `i` of `a` dotted with row `j` of `b`. Output element `(i, j)` is the
-/// exact integer `Σ_t a[i,t]·b[j,t]` — combine with
-/// `a.scales[i] * b.scales[j]` to dequantize.
-///
-/// # Errors
-///
-/// Returns [`TensorError::MatmulDimMismatch`] when the operand lengths
-/// disagree with `m`/`k`/`n`, [`TensorError::ElementOverflow`] when `m·n`
-/// overflows, and [`TensorError::InvalidGeometry`] when `k >` [`MAX_K`]
-/// (the `i32` accumulator could wrap).
-pub fn gemm_i8_nt(a: &[i8], b: &[i8], m: usize, k: usize, n: usize) -> Result<Vec<i32>> {
-    if a.len() != shape::checked_volume(&[m, k], "gemm_i8_nt")?
-        || b.len() != shape::checked_volume(&[n, k], "gemm_i8_nt")?
-    {
-        return Err(TensorError::MatmulDimMismatch {
-            lhs_cols: a.len() / m.max(1),
-            rhs_rows: b.len() / k.max(1),
-        });
-    }
-    if k > MAX_K {
-        return Err(TensorError::InvalidGeometry(format!(
-            "gemm_i8_nt reduction depth {k} exceeds the exact-i32 bound {MAX_K}"
-        )));
-    }
-    let volume = shape::checked_volume(&[m, n], "gemm_i8_nt")?;
-    let mut out = vec![0i32; volume];
-    if volume == 0 {
-        return Ok(out);
-    }
-    backend::current().qgemm_nt(a, b, &mut out, m, k, n);
-    Ok(out)
-}
-
 /// B operand of the quantized GEMM repacked into k-major
 /// [`QGEMM_PANEL`]-wide panels of `i16` k-pairs for the tuned microkernel.
 ///
@@ -416,10 +380,14 @@ impl PackedQuantB {
     }
 }
 
-/// Exact integer GEMM against a pre-packed rhs: `[m, k] × packed(n, k) →
-/// [m, n]`. Bitwise identical to [`gemm_i8_nt`] on the unpacked operand —
-/// integer accumulation is exact — but skips the per-call pack, which is
-/// what the serve tier wants for its static weight panels.
+/// Exact integer GEMM against a pre-packed rhs: `[m, k] × packed(n, k)ᵀ →
+/// [m, n]` with `i32` accumulation.
+///
+/// Mirrors the f32 `matmul_nt` layout (the conv/linear forward shape): row
+/// `i` of `a` dotted with row `j` of the `[n, k]` matrix that was packed.
+/// Output element `(i, j)` is the exact integer `Σ_t a[i,t]·b[j,t]` —
+/// combine with `a.scales[i] * b.scales[j]` to dequantize. The serve tier
+/// packs its static weights once and reuses the panels for every batch.
 ///
 /// # Errors
 ///
@@ -467,25 +435,6 @@ pub fn gemm_i8_packed_into(a: &[i8], b: &PackedQuantB, m: usize, out: &mut [i32]
         qgemm_packed_block(&a[rows.start * b.k..rows.end * b.k], b, region, rows.len());
     });
     Ok(())
-}
-
-/// Tuned [`crate::backend::Backend::qgemm_nt`] entry point: packs B, then
-/// runs the panel microkernel. Callers with static B should pack once and
-/// use [`gemm_i8_packed`] instead.
-pub(crate) fn qgemm_nt_tuned(a: &[i8], b: &[i8], out: &mut [i32], m: usize, k: usize, n: usize) {
-    if m == 0 || n == 0 {
-        return;
-    }
-    let packed = PackedQuantB::pack(b, n, k).expect("validated by caller");
-    let threads = parallel::threads_for(m.saturating_mul(n).saturating_mul(k));
-    parallel::par_chunks_mut(out, n, threads, |rows, region| {
-        qgemm_packed_block(
-            &a[rows.start * k..rows.end * k],
-            &packed,
-            region,
-            rows.len(),
-        );
-    });
 }
 
 /// Serial packed kernel over one contiguous block of A rows / output rows:
@@ -795,19 +744,20 @@ mod tests {
         ));
     }
 
+    /// `a × bᵀ` through the one public path: pack, then the packed kernel.
+    fn packed_gemm(a: &[i8], b: &[i8], m: usize, k: usize, n: usize) -> Vec<i32> {
+        gemm_i8_packed(a, &PackedQuantB::pack(b, n, k).unwrap(), m).unwrap()
+    }
+
     #[test]
     fn gemm_matches_i64_reference_exactly() {
         let (m, k, n) = (7, 40, 9);
         let a: Vec<i8> = (0..m * k).map(|i| ((i * 37 + 11) % 255) as i8).collect();
         let b: Vec<i8> = (0..n * k).map(|i| ((i * 53 + 5) % 251) as i8).collect();
-        let got = gemm_i8_nt(&a, &b, m, k, n).unwrap();
-        for i in 0..m {
-            for j in 0..n {
-                let want: i64 = (0..k)
-                    .map(|t| a[i * k + t] as i64 * b[j * k + t] as i64)
-                    .sum();
-                assert_eq!(got[i * n + j] as i64, want, "({i},{j})");
-            }
+        let got = packed_gemm(&a, &b, m, k, n);
+        let want = ibrar_oracle::kernels::gemm_i8_nt(&a, &b, m, k, n);
+        for (i, (&g, &w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(g as i64, w, "({}, {})", i / n, i % n);
         }
     }
 
@@ -818,25 +768,31 @@ mod tests {
         let b: Vec<i8> = (0..n * k).map(|i| ((i * 23) % 190) as i8).collect();
         let serial = {
             let _g = parallel::with_threads(1);
-            gemm_i8_nt(&a, &b, m, k, n).unwrap()
+            packed_gemm(&a, &b, m, k, n)
         };
         for threads in [2, 4, 7] {
             let _g = parallel::with_threads(threads);
-            assert_eq!(serial, gemm_i8_nt(&a, &b, m, k, n).unwrap());
+            assert_eq!(serial, packed_gemm(&a, &b, m, k, n));
         }
     }
 
     #[test]
     fn gemm_guards_depth_and_shape() {
         assert!(matches!(
-            gemm_i8_nt(&[], &[], 0, MAX_K + 1, 0),
-            Err(TensorError::MatmulDimMismatch { .. }) | Err(TensorError::InvalidGeometry(_))
+            PackedQuantB::pack(&[], 0, MAX_K + 1),
+            Err(TensorError::InvalidGeometry(_))
         ));
         let a = vec![1i8; 2 * 3];
         let b = vec![1i8; 4 * 3];
-        assert!(gemm_i8_nt(&a, &b, 2, 3, 4).is_ok());
+        let packed = PackedQuantB::pack(&b, 4, 3).unwrap();
+        assert!(gemm_i8_packed(&a, &packed, 2).is_ok());
         assert!(matches!(
-            gemm_i8_nt(&a, &b, 2, 4, 4),
+            PackedQuantB::pack(&b, 4, 4),
+            Err(TensorError::MatmulDimMismatch { .. })
+        ));
+        let deeper = PackedQuantB::pack(&[1i8; 4 * 4], 4, 4).unwrap();
+        assert!(matches!(
+            gemm_i8_packed(&a, &deeper, 2),
             Err(TensorError::MatmulDimMismatch { .. })
         ));
     }

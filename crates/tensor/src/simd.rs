@@ -1,7 +1,7 @@
 //! SIMD-width inner kernels: fixed 8-lane multi-accumulator loops.
 //!
 //! The scalar single-accumulator dot products that used to sit at the bottom
-//! of `matmul_nt`, `matvec`, `median_sigma`, and `pairwise_sqdist` serialize
+//! of `matmul_nt`, `median_sigma`, and `pairwise_sqdist` serialize
 //! on the ~4-cycle latency of each fused multiply-add: every iteration waits
 //! for the previous accumulator update. Splitting the reduction across 8
 //! independent lane accumulators breaks that chain and hands LLVM a loop it

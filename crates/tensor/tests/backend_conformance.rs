@@ -1,25 +1,19 @@
-//! Backend conformance suite: every [`Backend`] impl, swept against the
-//! `ibrar-oracle` references through one generic harness.
+//! Kernel conformance suite: every tensor kernel entry point, swept
+//! against the `ibrar-oracle` references on seeded random cases.
 //!
-//! This is the gate DESIGN.md §17 describes: a backend ships only if every
-//! trait method agrees with the oracle on seeded random cases. The sweep
-//! runs over [`ALL_BACKENDS`], so a future SIMD/GPU backend joins the gate
-//! by appearing in that list — no new test code required.
-//!
-//! Float kernels are compared under [`Tolerance::reduction`] (backends are
-//! free to reorder accumulation); the integer qgemm is compared exactly
-//! (i8×i8→i32 accumulation is associative and exact, so *any* conforming
-//! backend must match the oracle bit for bit). The `Naive` backend
-//! additionally pins *bitwise* equality against the oracle for the serial
-//! float kernels — it transcribes the same loops, which is what makes it
-//! the conformance reference.
+//! The entry points validate their inputs and call the tuned kernels
+//! directly, and the oracle holds the only naive loops, so this sweep is
+//! the gate between the two (DESIGN.md §17). Float kernels are compared
+//! under [`Tolerance::reduction`] (the tuned kernels reorder accumulation);
+//! the integer qgemm is compared exactly (i8×i8→i32 accumulation is
+//! associative and exact, so it must match the oracle bit for bit).
 //!
 //! The tuned direct conv kernels are also pinned bit for bit to the GEMM
 //! pipelines they replaced (`im2col` + `matmul_nt` forward, `col2im` /
 //! `im2col` + `matmul` / `matmul_tn` backward) and across thread counts.
 
 use ibrar_oracle::{compare, kernels, Gen, Tolerance};
-use ibrar_tensor::backend::{self, ConvGeom, CpuTuned, Naive, ALL_BACKENDS};
+use ibrar_tensor::qgemm::{gemm_i8_packed, PackedQuantB};
 use ibrar_tensor::{
     col2im, conv2d_backward_input, conv2d_backward_weight, conv2d_forward, im2col, parallel,
     Conv2dSpec, Tensor,
@@ -66,19 +60,6 @@ fn conv_backward_case(g: &mut Gen) -> (Tensor, Tensor, Tensor, Conv2dSpec) {
     (x, wmat, to_tensor(grad, &[n, oc, oh, ow]), spec)
 }
 
-fn geom_of(x: &Tensor, spec: &Conv2dSpec) -> ConvGeom {
-    let (h, w) = (x.shape()[2], x.shape()[3]);
-    let (oh, ow) = spec.out_hw(h, w).unwrap();
-    ConvGeom {
-        n: x.shape()[0],
-        h,
-        w,
-        oh,
-        ow,
-        spec: *spec,
-    }
-}
-
 /// The NCHW gradient as the `[n·oh·ow, oc]` rows of the GEMM formulation.
 fn rows(grad: &Tensor) -> Tensor {
     let (oc, pix) = (grad.shape()[1], grad.shape()[2] * grad.shape()[3]);
@@ -95,231 +76,82 @@ fn i8_vec(g: &mut Gen, len: usize) -> Vec<i8> {
 }
 
 #[test]
-fn alloc_is_zeroed_for_all_backends() {
-    for be in ALL_BACKENDS {
-        for len in [0usize, 1, 7, 513] {
-            let buf = be.alloc(len);
-            assert_eq!(buf.len(), len, "{} alloc({len}) length", be.name());
-            assert!(
-                buf.iter().all(|v| v.to_bits() == 0),
-                "{} alloc({len}) not zeroed",
-                be.name()
-            );
-        }
-    }
-}
-
-#[test]
-fn gemm_family_matches_oracle_for_all_backends() {
-    for be in ALL_BACKENDS {
-        let mut g = Gen::new(0xB001);
-        for case in 0..CASES {
-            let (m, k, n) = (g.usize_in(1, 12), g.usize_in(1, 12), g.usize_in(1, 12));
-            let a = g.tensor(&[m, k], -2.0, 2.0);
-            let b = g.tensor(&[k, n], -2.0, 2.0);
-            let bt = g.tensor(&[n, k], -2.0, 2.0);
-            let at = g.tensor(&[k, m], -2.0, 2.0);
-
-            let mut out = be.alloc(m * n);
-            be.gemm(a.data(), b.data(), &mut out, m, k, n);
-            compare(
-                &format!("{} gemm case {case}", be.name()),
-                &to_tensor(out, &[m, n]),
-                &kernels::matmul(&a, &b),
-                Tolerance::reduction(),
-            )
-            .unwrap_or_else(|e| panic!("{e}"));
-
-            let mut out = be.alloc(m * n);
-            be.gemm_nt(a.data(), bt.data(), &mut out, m, k, n);
-            compare(
-                &format!("{} gemm_nt case {case}", be.name()),
-                &to_tensor(out, &[m, n]),
-                &kernels::matmul_nt(&a, &bt),
-                Tolerance::reduction(),
-            )
-            .unwrap_or_else(|e| panic!("{e}"));
-
-            let mut out = be.alloc(m * n);
-            be.gemm_tn(at.data(), b.data(), &mut out, m, k, n);
-            compare(
-                &format!("{} gemm_tn case {case}", be.name()),
-                &to_tensor(out, &[m, n]),
-                &kernels::matmul_tn(&at, &b),
-                Tolerance::reduction(),
-            )
-            .unwrap_or_else(|e| panic!("{e}"));
-        }
-    }
-}
-
-#[test]
-fn matvec_and_reductions_match_oracle_for_all_backends() {
-    for be in ALL_BACKENDS {
-        let mut g = Gen::new(0xB002);
-        let tol = Tolerance::reduction();
-        for case in 0..CASES {
-            let (m, k) = (g.usize_in(1, 10), g.usize_in(1, 33));
-            let a = g.tensor(&[m, k], -2.0, 2.0);
-            let v = g.tensor(&[k], -2.0, 2.0);
-            let u = g.tensor(&[k], -2.0, 2.0);
-
-            let mut out = be.alloc(m);
-            be.matvec(a.data(), v.data(), &mut out, m, k);
-            let want = kernels::matmul(&a, &v.reshape(&[k, 1]).unwrap());
-            compare(
-                &format!("{} matvec case {case}", be.name()),
-                &to_tensor(out, &[m]),
-                &want.reshape(&[m]).unwrap(),
-                tol,
-            )
-            .unwrap_or_else(|e| panic!("{e}"));
-
-            let got_dot = be.dot(v.data(), u.data());
-            let want_dot: f32 =
-                kernels::matmul(&v.reshape(&[1, k]).unwrap(), &u.reshape(&[k, 1]).unwrap()).data()
-                    [0];
-            assert!(
-                tol.accepts(got_dot, want_dot),
-                "{} dot case {case}: {got_dot} vs oracle {want_dot}",
-                be.name()
-            );
-
-            let got_sq = be.sqdist(v.data(), u.data());
-            let want_sq: f32 = v
-                .data()
-                .iter()
-                .zip(u.data())
-                .map(|(a, b)| (a - b) * (a - b))
-                .sum();
-            assert!(
-                tol.accepts(got_sq, want_sq),
-                "{} sqdist case {case}: {got_sq} vs serial {want_sq}",
-                be.name()
-            );
-        }
-    }
-}
-
-#[test]
-fn qgemm_is_exactly_oracle_for_all_backends() {
-    // Integer accumulation is exact: every backend must reproduce the
-    // oracle's i64 reference bit for bit, including shape edges.
-    for be in ALL_BACKENDS {
-        let mut g = Gen::new(0xB003);
-        for case in 0..CASES {
-            let (m, k, n) = (g.usize_in(1, 24), g.usize_in(0, 40), g.usize_in(1, 40));
-            let a = i8_vec(&mut g, m * k);
-            let b = i8_vec(&mut g, n * k);
-            let mut got = vec![0i32; m * n];
-            be.qgemm_nt(&a, &b, &mut got, m, k, n);
-            let want = kernels::gemm_i8_nt(&a, &b, m, k, n);
-            for (i, (&gv, &wv)) in got.iter().zip(&want).enumerate() {
-                assert_eq!(
-                    gv as i64,
-                    wv,
-                    "{} qgemm case {case} ({m}x{k}x{n}) element {i}",
-                    be.name()
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn conv2d_forward_matches_oracle_for_all_backends() {
-    for be in ALL_BACKENDS {
-        let mut g = Gen::new(0xB004);
-        let tol = Tolerance::reduction();
-        for case in 0..CASES {
-            let n = g.usize_in(1, 3);
-            let c = g.usize_in(1, 3);
-            let oc = g.usize_in(1, 4);
-            let k = g.usize_in(1, 3);
-            let stride = g.usize_in(1, 2);
-            let padding = g.usize_in(0, 1);
-            let h = g.usize_in(k, 7);
-            let w = g.usize_in(k, 7);
-            let spec = Conv2dSpec::new(c, oc, k, stride, padding);
-            let x = g.tensor(&[n, c, h, w], -1.0, 1.0);
-            let weight = g.tensor(&[oc, c, k, k], -1.0, 1.0);
-            let (oh, ow) = spec.out_hw(h, w).unwrap();
-            let geom = ConvGeom {
-                n,
-                h,
-                w,
-                oh,
-                ow,
-                spec,
-            };
-            let mut out = be.alloc(n * oc * oh * ow);
-            be.conv2d_forward(
-                x.data(),
-                weight.reshape(&[oc, spec.patch_len()]).unwrap().data(),
-                &mut out,
-                &geom,
-            );
-            compare(
-                &format!("{} conv2d_forward case {case}", be.name()),
-                &to_tensor(out, &[n, oc, oh, ow]),
-                &kernels::conv2d(&x, &weight, None, &spec),
-                tol,
-            )
-            .unwrap_or_else(|e| panic!("{e}"));
-        }
-    }
-}
-
-#[test]
-fn naive_backend_is_bitwise_the_oracle() {
-    // The oracle computes through `Naive`; pin that the public Tensor ops
-    // under a thread-local naive override reproduce it at the bit level
-    // (dispatch happens once per op on this thread, and the naive kernels
-    // are serial, so the override is the whole story).
-    let _g_override = backend::with_backend(&Naive);
-    assert_eq!(backend::current().name(), "naive");
-    let mut g = Gen::new(0xB005);
-    for _ in 0..20 {
-        let (m, k, n) = (g.usize_in(1, 9), g.usize_in(1, 9), g.usize_in(1, 9));
+fn gemm_family_matches_oracle() {
+    let mut g = Gen::new(0xB001);
+    for case in 0..CASES {
+        let (m, k, n) = (g.usize_in(1, 12), g.usize_in(1, 12), g.usize_in(1, 12));
         let a = g.tensor(&[m, k], -2.0, 2.0);
         let b = g.tensor(&[k, n], -2.0, 2.0);
-        let got = a.matmul(&b).unwrap();
-        let want = kernels::matmul(&a, &b);
-        assert!(
-            got.data()
-                .iter()
-                .zip(want.data())
-                .all(|(x, y)| x.to_bits() == y.to_bits()),
-            "naive matmul diverged from oracle bits at ({m},{k},{n})"
-        );
-
         let bt = g.tensor(&[n, k], -2.0, 2.0);
-        let got = a.matmul_nt(&bt).unwrap();
-        let want = kernels::matmul_nt(&a, &bt);
-        assert!(
-            got.data()
-                .iter()
-                .zip(want.data())
-                .all(|(x, y)| x.to_bits() == y.to_bits()),
-            "naive matmul_nt diverged from oracle bits at ({m},{k},{n})"
-        );
+        let at = g.tensor(&[k, m], -2.0, 2.0);
+
+        compare(
+            &format!("matmul case {case}"),
+            &a.matmul(&b).unwrap(),
+            &kernels::matmul(&a, &b),
+            Tolerance::reduction(),
+        )
+        .unwrap_or_else(|e| panic!("{e}"));
+
+        compare(
+            &format!("matmul_nt case {case}"),
+            &a.matmul_nt(&bt).unwrap(),
+            &kernels::matmul_nt(&a, &bt),
+            Tolerance::reduction(),
+        )
+        .unwrap_or_else(|e| panic!("{e}"));
+
+        compare(
+            &format!("matmul_tn case {case}"),
+            &at.matmul_tn(&b).unwrap(),
+            &kernels::matmul_tn(&at, &b),
+            Tolerance::reduction(),
+        )
+        .unwrap_or_else(|e| panic!("{e}"));
     }
-    for case in 0..20 {
-        let (x, wmat, grad, spec) = conv_backward_case(&mut g);
-        let (h, w) = (x.shape()[2], x.shape()[3]);
-        let weight = wmat
-            .reshape(&[
-                spec.out_channels,
-                spec.in_channels,
-                spec.kernel,
-                spec.kernel,
-            ])
-            .unwrap();
-        let (dx, dw, _) = kernels::conv2d_backward(&x, &weight, &grad, &spec);
-        let got = conv2d_backward_input(&grad, &wmat, &spec, h, w).unwrap();
-        assert_bits(&format!("naive dx case {case}"), got.data(), dx.data());
-        let got = conv2d_backward_weight(&x, &grad, &spec).unwrap();
-        assert_bits(&format!("naive dw case {case}"), got.data(), dw.data());
+}
+
+#[test]
+fn qgemm_is_exactly_oracle() {
+    // Integer accumulation is exact: the packed kernel must reproduce the
+    // oracle's i64 reference bit for bit, including shape edges.
+    let mut g = Gen::new(0xB003);
+    for case in 0..CASES {
+        let (m, k, n) = (g.usize_in(1, 24), g.usize_in(0, 40), g.usize_in(1, 40));
+        let a = i8_vec(&mut g, m * k);
+        let b = i8_vec(&mut g, n * k);
+        let got = gemm_i8_packed(&a, &PackedQuantB::pack(&b, n, k).unwrap(), m).unwrap();
+        let want = kernels::gemm_i8_nt(&a, &b, m, k, n);
+        for (i, (&gv, &wv)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(gv as i64, wv, "qgemm case {case} ({m}x{k}x{n}) element {i}");
+        }
+    }
+}
+
+#[test]
+fn conv2d_forward_matches_oracle() {
+    let mut g = Gen::new(0xB004);
+    let tol = Tolerance::reduction();
+    for case in 0..CASES {
+        let n = g.usize_in(1, 3);
+        let c = g.usize_in(1, 3);
+        let oc = g.usize_in(1, 4);
+        let k = g.usize_in(1, 3);
+        let stride = g.usize_in(1, 2);
+        let padding = g.usize_in(0, 1);
+        let h = g.usize_in(k, 7);
+        let w = g.usize_in(k, 7);
+        let spec = Conv2dSpec::new(c, oc, k, stride, padding);
+        let x = g.tensor(&[n, c, h, w], -1.0, 1.0);
+        let weight = g.tensor(&[oc, c, k, k], -1.0, 1.0);
+        let wmat = weight.reshape(&[oc, spec.patch_len()]).unwrap();
+        compare(
+            &format!("conv2d_forward case {case}"),
+            &conv2d_forward(&x, &wmat, &spec).unwrap(),
+            &kernels::conv2d(&x, &weight, None, &spec),
+            tol,
+        )
+        .unwrap_or_else(|e| panic!("{e}"));
     }
 }
 
@@ -423,42 +255,36 @@ fn tuned_direct_conv_is_bitwise_im2col_matmul_nt() {
 }
 
 #[test]
-fn conv_backward_matches_oracle_for_all_backends() {
-    for be in ALL_BACKENDS {
-        let mut g = Gen::new(0xB007);
-        for case in 0..CASES {
-            let (x, wmat, grad, spec) = conv_backward_case(&mut g);
-            let geom = geom_of(&x, &spec);
-            let weight = wmat
-                .reshape(&[
-                    spec.out_channels,
-                    spec.in_channels,
-                    spec.kernel,
-                    spec.kernel,
-                ])
-                .unwrap();
-            let (want_dx, want_dw, _) = kernels::conv2d_backward(&x, &weight, &grad, &spec);
+fn conv_backward_matches_oracle() {
+    let mut g = Gen::new(0xB007);
+    for case in 0..CASES {
+        let (x, wmat, grad, spec) = conv_backward_case(&mut g);
+        let (h, w) = (x.shape()[2], x.shape()[3]);
+        let weight = wmat
+            .reshape(&[
+                spec.out_channels,
+                spec.in_channels,
+                spec.kernel,
+                spec.kernel,
+            ])
+            .unwrap();
+        let (want_dx, want_dw, _) = kernels::conv2d_backward(&x, &weight, &grad, &spec);
 
-            let mut dx = be.alloc(x.len());
-            be.conv2d_backward_input(grad.data(), wmat.data(), &mut dx, &geom);
-            compare(
-                &format!("{} conv2d_backward_input case {case}", be.name()),
-                &to_tensor(dx, x.shape()),
-                &want_dx,
-                Tolerance::reduction(),
-            )
-            .unwrap_or_else(|e| panic!("{e}"));
+        compare(
+            &format!("conv2d_backward_input case {case}"),
+            &conv2d_backward_input(&grad, &wmat, &spec, h, w).unwrap(),
+            &want_dx,
+            Tolerance::reduction(),
+        )
+        .unwrap_or_else(|e| panic!("{e}"));
 
-            let mut dw = be.alloc(wmat.len());
-            be.conv2d_backward_weight(x.data(), grad.data(), &mut dw, &geom);
-            compare(
-                &format!("{} conv2d_backward_weight case {case}", be.name()),
-                &to_tensor(dw, weight.shape()),
-                &want_dw,
-                Tolerance::reduction(),
-            )
-            .unwrap_or_else(|e| panic!("{e}"));
-        }
+        compare(
+            &format!("conv2d_backward_weight case {case}"),
+            &conv2d_backward_weight(&x, &grad, &spec).unwrap(),
+            &want_dw,
+            Tolerance::reduction(),
+        )
+        .unwrap_or_else(|e| panic!("{e}"));
     }
 }
 
@@ -468,8 +294,6 @@ fn tuned_conv_backward_is_bitwise_the_gemm_pipeline() {
     // list the nonzero gradients in the GEMMs' order and add them with the
     // same IEEE operations, so they reproduce `col2im(rows(G) × W)` and
     // `rows(G)ᵀ × im2col(x)` bit for bit — which is why no golden moved.
-    // Pinned to the tuned backend whatever IBRAR_BACKEND selects.
-    let _tuned = backend::with_backend(&CpuTuned);
     let mut g = Gen::new(0xB008);
     for case in 0..CASES {
         let (x, wmat, grad, spec) = conv_backward_case(&mut g);
@@ -490,7 +314,6 @@ fn tuned_conv_backward_is_bitwise_the_gemm_pipeline() {
 fn tuned_conv_backward_is_bitwise_thread_count_invariant() {
     // dX splits samples and dW splits output channels across threads;
     // neither split may touch one element's sum.
-    let _tuned = backend::with_backend(&CpuTuned);
     let mut g = Gen::new(0xB009);
     for case in 0..20 {
         let (x, wmat, grad, spec) = conv_backward_case(&mut g);

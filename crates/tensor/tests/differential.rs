@@ -118,37 +118,6 @@ fn matmul_large_cases_match_oracle_under_thread_configs() {
     }
 }
 
-#[test]
-fn matvec_and_dot_match_oracle_matmul() {
-    let mut g = Gen::new(0xA005);
-    for case in 0..CASES {
-        let (m, k) = (g.usize_in(1, 10), g.usize_in(1, 10));
-        let a = g.tensor(&[m, k], -2.0, 2.0);
-        let v = g.tensor(&[k], -2.0, 2.0);
-        let got = a.matvec(&v).unwrap();
-        let want = kernels::matmul(&a, &v.reshape(&[k, 1]).unwrap())
-            .reshape(&[m])
-            .unwrap();
-        compare(
-            &format!("matvec case {case}"),
-            &got,
-            &want,
-            Tolerance::reduction(),
-        )
-        .unwrap_or_else(|e| panic!("{e}"));
-
-        let u = g.tensor(&[k], -2.0, 2.0);
-        let got_dot = v.dot(&u).unwrap();
-        let want_dot =
-            kernels::matmul(&v.reshape(&[1, k]).unwrap(), &u.reshape(&[k, 1]).unwrap()).data()[0];
-        let tol = Tolerance::reduction();
-        assert!(
-            tol.accepts(got_dot, want_dot),
-            "dot case {case}: {got_dot} vs oracle {want_dot}"
-        );
-    }
-}
-
 /// Random valid conv geometry: kernel always fits the padded input.
 fn conv_case(g: &mut Gen) -> (Tensor, Tensor, Conv2dSpec, usize, usize, usize) {
     let n = g.usize_in(1, 3);

@@ -2,13 +2,12 @@
 # Tier-1 verification: release build, the whole workspace's test suite
 # under both the default thread count and IBRAR_THREADS=1 (the determinism
 # guarantee says the two runs must see identical numbers — this includes
-# the differential and golden snapshot suites), the kernel differential
-# suites re-run under IBRAR_BACKEND=naive (both sides of the backend seam),
-# an end-to-end inference-server + metrics-endpoint smoke test, the
-# committed perf regression gate, the repository benchmark's build and
-# smoke test, and workspace-wide lint gates. Build and test steps pass
-# `--locked`, so a manifest edit without the matching `Cargo.lock` update
-# fails here.
+# the differential, conformance, gradient-audit and golden snapshot
+# suites, so each test binary runs once per thread count), an end-to-end
+# inference-server + metrics-endpoint smoke test, the committed perf
+# regression gate, the repository benchmark's build and smoke test, and
+# workspace-wide lint gates. Build and test steps pass `--locked`, so a
+# manifest edit without the matching `Cargo.lock` update fails here.
 #
 # A failing workspace test run does not stop the script. Each run goes
 # through every test binary (`--no-fail-fast`), the other thread count and
@@ -45,24 +44,6 @@ else
 
     echo "== test (IBRAR_THREADS=1) =="
     IBRAR_THREADS=1 cargo test -q --locked --workspace --no-fail-fast || TESTS_FAILED=1
-
-    echo "== backend matrix (differential suites, IBRAR_BACKEND=naive) =="
-    # The kernel seam (DESIGN.md §17) ships two backends; the differential
-    # and conformance suites must hold under both. The default (tuned)
-    # backend was exercised by the full runs above; re-run the suites that
-    # pin kernels against the oracle with the naive backend selected, plus
-    # the conformance sweep that iterates ALL_BACKENDS explicitly.
-    IBRAR_BACKEND=naive cargo test -q --locked -p ibrar-tensor --test differential \
-        --test backend_conformance --test qgemm_prop
-    IBRAR_BACKEND=naive cargo test -q --locked -p ibrar-autograd --test differential
-    IBRAR_BACKEND=naive cargo test -q --locked -p ibrar-attacks --test differential
-
-    echo "== VIB op audits (finite differences + oracle differentials) =="
-    # The variational-IB tape ops (softplus/rsample/kl_gauss) carry their
-    # own FD audit and oracle-twin differential suites; run them as an
-    # explicit gate so a kernel change cannot slip past inside the bulk
-    # test run above.
-    cargo test -q --locked -p ibrar-autograd --test grad_audit --test differential
 
     echo "== serve smoke (ephemeral port) =="
     # End-to-end through the inference server: checkpoint load, classify,

@@ -5,12 +5,12 @@
 //! `IBRAR_THREADS` env knob; `scripts/ci.sh` additionally runs the whole
 //! suite under `IBRAR_THREADS=1` and the machine default).
 
-use ibrar::{TrainMethod, Trainer, TrainerConfig, VibConfig};
+use ibrar::{TrainMethod, Trainer, TrainerConfig};
 use ibrar_attacks::{clean_accuracy, robust_accuracy, Fgsm, Pgd};
 use ibrar_autograd::Tape;
 use ibrar_data::{Dataset, SynthVision, SynthVisionConfig};
 use ibrar_infotheory::{hsic, median_sigma, one_hot};
-use ibrar_nn::{ImageModel, VggConfig, VggMini};
+use ibrar_nn::{ImageModel, VggConfig, VggMini, VibHead, VibHeadConfig};
 use ibrar_tensor::{
     conv2d_backward_input, conv2d_backward_weight, im2col, parallel, scratch, Conv2dSpec, Tensor,
 };
@@ -147,10 +147,8 @@ fn accuracy_evaluation_bitwise_invariant() {
 fn vib_train_digest(seed: u64) -> Vec<u64> {
     let mut rng = StdRng::seed_from_u64(seed);
     let inner = VggMini::new(VggConfig::tiny(10), &mut rng).unwrap();
-    let model = VibConfig::paper_default()
-        .with_bottleneck(8)
-        .wrap(inner, &mut rng)
-        .unwrap();
+    let cfg = VibHeadConfig::paper_default().with_bottleneck(8);
+    let model = VibHead::new(inner, cfg, &mut rng).unwrap();
     let data = SynthVision::generate(
         &SynthVisionConfig::cifar10_like().with_sizes(16, 8),
         seed ^ 0xABCD,

@@ -197,7 +197,7 @@ fn eval_forward_deterministic() {
     }
 }
 
-/// The parallel conv2d forward matches a naive direct convolution for
+/// The parallel conv2d forward matches the oracle's direct convolution for
 /// arbitrary geometry, and is bitwise identical across thread counts.
 #[test]
 fn parallel_conv_matches_serial_reference() {
@@ -227,29 +227,10 @@ fn parallel_conv_matches_serial_reference() {
         };
         let serial = forward(1);
         assert_eq!(&forward(4), &serial, "threads changed bits; {inputs}");
-        // Naive direct convolution as the reference.
-        let (oh, ow) = spec.out_hw(h, w).unwrap();
-        let naive = Tensor::from_fn(&[n, cout, oh, ow], |idx| {
-            let (ni, oc, oy, ox) = (idx[0], idx[1], idx[2], idx[3]);
-            let mut acc = 0.0f32;
-            for ci in 0..cin {
-                for ky in 0..k {
-                    for kx in 0..k {
-                        let iy = (oy * stride + ky) as isize - padding as isize;
-                        let ix = (ox * stride + kx) as isize - padding as isize;
-                        if iy < 0 || iy >= h as isize || ix < 0 || ix >= w as isize {
-                            continue;
-                        }
-                        acc +=
-                            x.get(&[ni, ci, iy as usize, ix as usize]) * wt.get(&[oc, ci, ky, kx]);
-                    }
-                }
-            }
-            acc
-        });
+        let oracle = ibrar_oracle::kernels::conv2d(&x, &wt, None, &spec);
         assert!(
-            serial.max_abs_diff(&naive).unwrap() < 1e-4,
-            "im2col conv deviates from direct convolution; {inputs}"
+            serial.max_abs_diff(&oracle).unwrap() < 1e-4,
+            "conv deviates from the oracle's direct convolution; {inputs}"
         );
     }
 }
