@@ -1,19 +1,21 @@
-//! Inference-server driver: smoke-test, throughput comparison, or a real
-//! listening server backed by a freshly checkpointed model.
+//! Inference-server CLI: throughput comparison, a real listening server
+//! backed by freshly checkpointed models, or traced load against one.
 //!
 //! ```sh
-//! cargo run --release --bin serve -- --smoke         # CI end-to-end check
 //! cargo run --release --bin serve -- --throughput    # batched vs per-request
 //! cargo run --release --bin serve -- --listen 127.0.0.1:7878
+//! cargo run --release --bin serve -- --drive 127.0.0.1:7878 --requests 40
 //! ```
 //!
-//! Set `IBRAR_LOG` / `IBRAR_TELEMETRY` to capture the serve.* counters,
-//! gauges, and span timings (see README "Observability").
+//! The end-to-end checks of the serving stack are the `ibrar-serve` tests
+//! (`crates/serve/tests/`). Set `IBRAR_LOG` / `IBRAR_TELEMETRY` to capture
+//! the serve.* counters, gauges, and span timings (see README
+//! "Observability").
 
-use ibrar_nn::{ImageModel, Mode, Session, VggConfig, VggMini, VibHead, VibHeadConfig};
+use ibrar_nn::{ImageModel, VggConfig, VggMini, VibHead, VibHeadConfig};
 use ibrar_serve::{
-    save_to_path, BatchEngine, Client, DispatchPolicy, EngineConfig, Int8Vgg, MetricsFormat,
-    ModelRegistry, ProbeSpec, ServeError, Server, ServerConfig,
+    save_to_path, BatchEngine, Client, DispatchPolicy, EngineConfig, Int8Vgg, ModelRegistry,
+    Server, ServerConfig,
 };
 use ibrar_tensor::Tensor;
 use rand::rngs::StdRng;
@@ -31,25 +33,19 @@ const NUM_CLASSES: usize = 10;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: serve [--smoke | --throughput [--requests N] | --listen ADDR | --drive ADDR]\n\
+        "usage: serve [--throughput [--requests N] | --listen ADDR | --drive ADDR]\n\
          \x20            [--replicas N] [--policy P] [--int8]\n\
          \n\
-         --smoke       end-to-end check on an ephemeral port: classify,\n\
-         \x20             robustness probe, queue-full + deadline backpressure,\n\
-         \x20             metrics/health/flight endpoints, clean shutdown\n\
-         \x20             (exits non-zero on any failure)\n\
          --throughput  compare batched vs per-request engine throughput\n\
          --requests N  wave size for --throughput / --drive (default 64)\n\
          --listen ADDR serve checkpointed models on ADDR until killed\n\
          --drive ADDR  send N traced classify requests at a --listen server\n\
          \x20             (load for the ibrar-top dashboard)\n\
-         --replicas N  replicas per model pool (default 1); with --smoke and\n\
-         \x20             N > 1, run the fleet smoke instead: dispatch across\n\
-         \x20             replicas plus one live checkpoint rollout\n\
+         --replicas N  replicas per model pool for --listen (default 1)\n\
          --policy P    fleet dispatch: least-depth (default) or consistent-hash\n\
-         --int8        also register the post-training-quantized int8 model\n\
-         \x20             ('vgg-int8'); with --smoke, run the int8 differential\n\
-         \x20             checks; with --throughput, compare f32 vs int8"
+         --int8        with --listen, also serve the post-training-quantized\n\
+         \x20             int8 model ('vgg-int8'); with --throughput, time it\n\
+         \x20             instead of the f32 model"
     );
     std::process::exit(2);
 }
@@ -68,7 +64,7 @@ fn build_model(seed: u64) -> DynResult<VggMini> {
 /// Saves a checkpoint for the reference model and registers a builder that
 /// starts from *different* weights, so every correct answer proves the
 /// checkpoint round-trip actually happened.
-fn checkpointed_registry() -> DynResult<(Arc<ModelRegistry>, PathBuf, VggMini)> {
+fn checkpointed_registry() -> DynResult<(Arc<ModelRegistry>, PathBuf)> {
     let model = build_model(42)?;
     let path = std::env::temp_dir().join(format!("ibrar-serve-bin-{}.ibsc", std::process::id()));
     save_to_path(&model, &path)?;
@@ -81,7 +77,7 @@ fn checkpointed_registry() -> DynResult<(Arc<ModelRegistry>, PathBuf, VggMini)> 
             &mut rng,
         )?))
     });
-    Ok((registry, path, model))
+    Ok((registry, path))
 }
 
 /// Registers the int8 post-training-quantized view of the same checkpoint
@@ -110,405 +106,16 @@ fn build_vib(seed: u64) -> DynResult<VibHead<VggMini>> {
 /// [`VIB_NAME`]. Like [`checkpointed_registry`], the builder starts from
 /// different weights, so correct answers prove the round-trip; serving
 /// always runs the deterministic μ-only eval path.
-fn register_vib(registry: &ModelRegistry) -> DynResult<(PathBuf, VibHead<VggMini>)> {
-    let donor = build_vib(43)?;
+fn register_vib(registry: &ModelRegistry) -> DynResult<()> {
     let path =
         std::env::temp_dir().join(format!("ibrar-serve-bin-vib-{}.ibsc", std::process::id()));
-    save_to_path(&donor, &path)?;
-    registry.register(VIB_NAME, path.clone(), || {
+    save_to_path(&build_vib(43)?, &path)?;
+    registry.register(VIB_NAME, path, || {
         Ok(Box::new(build_vib(998).map_err(|e| {
             ibrar_nn::NnError::Config(format!("vib builder: {e}"))
         })?))
     });
-    Ok((path, donor))
-}
-
-fn local_logits(model: &dyn ImageModel, img: &Tensor) -> DynResult<Vec<f32>> {
-    let tape = ibrar_autograd::Tape::new();
-    let sess = Session::new(&tape);
-    let x = tape.leaf(Tensor::stack(std::slice::from_ref(img))?);
-    let out = model.forward(&sess, x, Mode::Eval)?;
-    Ok(out.logits.value().row(0)?.data().to_vec())
-}
-
-fn check(ok: bool, what: &str) -> DynResult<()> {
-    if ok {
-        println!("ok: {what}");
-        Ok(())
-    } else {
-        Err(format!("FAILED: {what}").into())
-    }
-}
-
-/// End-to-end smoke used by `scripts/ci.sh`: exercises the full stack
-/// (checkpoint load, TCP framing, batching, attacks, backpressure) and the
-/// clean-shutdown path on an ephemeral port.
-fn run_smoke() -> DynResult<()> {
-    // The metrics endpoint serves the global recorder's snapshot; enable it
-    // so the stage histograms below have observations even without
-    // IBRAR_TELEMETRY set.
-    ibrar_telemetry::global().enable();
-    let (registry, path, model) = checkpointed_registry()?;
-    let (vib_path, vib_donor) = register_vib(&registry)?;
-    // Tiny queue so backpressure is reachable deterministically.
-    let mut server = Server::start(
-        "127.0.0.1:0",
-        registry,
-        ServerConfig {
-            engine: EngineConfig {
-                max_batch: 2,
-                max_wait: Duration::from_millis(1),
-                queue_capacity: 3,
-                workers: 1,
-            },
-            ..ServerConfig::default()
-        },
-    )?;
-    println!("serving on {}", server.addr());
-    let mut client = Client::connect(server.addr())?;
-
-    client.ping()?;
-    check(true, "ping")?;
-
-    // Classification must match a local forward of the donor weights bitwise.
-    let img = image(0);
-    let want = local_logits(&model, &img)?;
-    let (label, logits) = client.classify_with_logits(MODEL_NAME, &img, 0)?;
-    let bitwise = logits
-        .iter()
-        .zip(&want)
-        .all(|(a, b)| a.to_bits() == b.to_bits());
-    check(
-        bitwise,
-        "classify_with_logits bitwise-matches local forward",
-    )?;
-    let mut best = 0;
-    for (j, &v) in want.iter().enumerate() {
-        if v > want[best] {
-            best = j;
-        }
-    }
-    check(label as usize == best, "label is argmax of logits")?;
-    check(
-        client.classify(MODEL_NAME, &img, 0)? == label,
-        "classify agrees with classify_with_logits",
-    )?;
-
-    // Robustness probes run the real attacks and must be deterministic.
-    for spec in [ProbeSpec::fgsm_default(), ProbeSpec::pgd_default()] {
-        let a = client.robustness_probe(MODEL_NAME, &img, label, spec)?;
-        let b = client.robustness_probe(MODEL_NAME, &img, label, spec)?;
-        check(a == b, "robustness probe is deterministic")?;
-        check(a.clean_correct, "probe clean prediction is correct")?;
-    }
-
-    // The VIB head serves through the same registry. Wire logits must
-    // bitwise-match a local μ-only forward of the donor weights — the
-    // builder starts from different weights, so a match proves the
-    // checkpoint round-trip covered every VibHead parameter (priors
-    // included). The gradient-based probes then run against that same
-    // deterministic eval path.
-    let vib_want = local_logits(&vib_donor, &img)?;
-    let (vib_label, vib_logits) = client.classify_with_logits(VIB_NAME, &img, 0)?;
-    check(
-        vib_logits
-            .iter()
-            .zip(&vib_want)
-            .all(|(a, b)| a.to_bits() == b.to_bits()),
-        "vib logits bitwise-match local mu-only forward",
-    )?;
-    for spec in [ProbeSpec::fgsm_default(), ProbeSpec::pgd_default()] {
-        let a = client.robustness_probe(VIB_NAME, &img, vib_label, spec)?;
-        let b = client.robustness_probe(VIB_NAME, &img, vib_label, spec)?;
-        check(a == b, "vib probe on mu-only eval path is deterministic")?;
-    }
-
-    // Backpressure: park the batcher, fill the queue, and observe the typed
-    // queue-full and deadline errors cross the wire.
-    let engine = server
-        .engine(MODEL_NAME)
-        .ok_or("engine missing after first request")?;
-    let gate = engine.pause();
-    let _sacrificial = engine.submit(image(1), None)?;
-    wait_until(
-        || engine.queue_depth() == 0,
-        "batcher holds sacrificial job",
-    )?;
-    let held: Vec<_> = (0..2)
-        .map(|i| engine.submit(image(i + 2), None))
-        .collect::<Result<_, _>>()?;
-
-    let addr = server.addr();
-    let doomed = std::thread::spawn(move || -> Result<u32, ServeError> {
-        let mut c = Client::connect(addr)?;
-        c.classify(MODEL_NAME, &image(7), 5)
-    });
-    wait_until(|| engine.queue_depth() == 3, "doomed request queued")?;
-
-    check(
-        matches!(
-            client.classify(MODEL_NAME, &image(9), 0),
-            Err(ServeError::QueueFull)
-        ),
-        "queue-full is a typed error over TCP",
-    )?;
-    std::thread::sleep(Duration::from_millis(50));
-    drop(gate);
-    check(
-        matches!(doomed.join().unwrap(), Err(ServeError::DeadlineExceeded)),
-        "expired deadline is a typed error over TCP",
-    )?;
-    for p in held {
-        p.wait()?;
-    }
-    check(true, "held requests drained after release")?;
-
-    // The server stays healthy after rejections, then shuts down cleanly.
-    client.ping()?;
-    client.classify(MODEL_NAME, &image(3), 0)?;
-
-    // Observability plane: health, Prometheus exposition with stage
-    // families, typed JSON snapshot, and the flight recorder.
-    let health = client.health()?;
-    check(
-        health.engines == 2 && health.queue_depth == 0,
-        "health reports both lazily-created engines",
-    )?;
-    let prom = client.metrics(MetricsFormat::Prometheus)?;
-    for family in [
-        "ibrar_serve_stage_queue_ms",
-        "ibrar_serve_stage_batch_ms",
-        "ibrar_serve_stage_forward_ms",
-        "ibrar_serve_stage_encode_ms",
-        "ibrar_serve_requests",
-    ] {
-        check(
-            prom.contains(family),
-            &format!("prometheus exposition contains {family}"),
-        )?;
-    }
-    let parseable = prom
-        .lines()
-        .filter(|l| !l.starts_with('#') && !l.is_empty())
-        .all(|l| {
-            l.rsplit_once(' ').is_some_and(|(_, v)| {
-                v.parse::<f64>().is_ok() || matches!(v, "NaN" | "+Inf" | "-Inf")
-            })
-        });
-    check(parseable, "every prometheus sample line parses")?;
-    let snap = ibrar_telemetry::Snapshot::from_json(&client.metrics(MetricsFormat::Json)?)?;
-    check(
-        snap.histogram("serve.stage.forward_ms")
-            .is_some_and(|h| h.count > 0),
-        "json snapshot carries populated stage histograms",
-    )?;
-    let (_, trace) = client.classify_traced(MODEL_NAME, &image(4), 0, None)?;
-    check(
-        client
-            .metrics(MetricsFormat::Flight)?
-            .contains(&trace.to_string()),
-        "traced request lands in the flight recorder",
-    )?;
-
-    drop(client);
-    server.shutdown();
-    let _ = std::fs::remove_file(path);
-    let _ = std::fs::remove_file(vib_path);
-    check(true, "clean shutdown")?;
-
-    if ibrar_telemetry::enabled() {
-        eprint!("\n== telemetry ==\n{}", ibrar_telemetry::report());
-        ibrar_telemetry::flush();
-    }
-    println!("smoke: PASS");
     Ok(())
-}
-
-/// Fleet smoke (`--smoke --replicas N`, N > 1): the checkpointed registry
-/// served by an N-replica pool over the real wire, plus the one behavior a
-/// single engine cannot show — a live rollout to a second checkpoint with
-/// bitwise proof that the new weights are serving afterwards.
-fn run_fleet_smoke(replicas: usize, policy: DispatchPolicy) -> DynResult<()> {
-    ibrar_telemetry::global().enable();
-    let (registry, path, model) = checkpointed_registry()?;
-    // A second same-architecture checkpoint to roll the fleet onto.
-    let next = build_model(4242)?;
-    let next_path =
-        std::env::temp_dir().join(format!("ibrar-serve-bin-next-{}.ibsc", std::process::id()));
-    save_to_path(&next, &next_path)?;
-
-    let mut server = Server::start(
-        "127.0.0.1:0",
-        registry,
-        ServerConfig {
-            replicas,
-            policy,
-            ..ServerConfig::default()
-        },
-    )?;
-    println!(
-        "serving fleet of {replicas} ({policy}) on {}",
-        server.addr()
-    );
-    let mut client = Client::connect(server.addr())?;
-    client.ping()?;
-    check(true, "ping")?;
-
-    // Generation 1 answers bitwise like a local forward of the donor
-    // weights, whichever replica served it.
-    let img = image(0);
-    let want = local_logits(&model, &img)?;
-    let (_, logits) = client.classify_with_logits(MODEL_NAME, &img, 0)?;
-    check(
-        logits
-            .iter()
-            .zip(&want)
-            .all(|(a, b)| a.to_bits() == b.to_bits()),
-        "fleet logits bitwise-match local forward",
-    )?;
-
-    // A traced wave through the fleet; every answer is a valid label.
-    let all_valid = (0..16).try_fold(true, |acc, i| -> DynResult<bool> {
-        let (label, _) = client.classify_traced(MODEL_NAME, &image(i), 0, None)?;
-        Ok(acc && (label as usize) < NUM_CLASSES)
-    })?;
-    check(all_valid, "traced wave served by the fleet")?;
-    check(
-        client.health()?.engines as usize == replicas,
-        "health counts every replica",
-    )?;
-
-    // Live rollout to the second checkpoint, then bitwise proof the fleet
-    // now serves the new weights.
-    let ack = client.rollout(MODEL_NAME, next_path.to_str().ok_or("non-utf8 temp path")?)?;
-    check(ack.version == 2, "rollout bumps the checkpoint generation")?;
-    let want2 = local_logits(&next, &img)?;
-    let (_, logits2) = client.classify_with_logits(MODEL_NAME, &img, 0)?;
-    check(
-        logits2
-            .iter()
-            .zip(&want2)
-            .all(|(a, b)| a.to_bits() == b.to_bits()),
-        "post-rollout logits bitwise-match the new checkpoint",
-    )?;
-
-    // The fleet is visible on the metrics plane.
-    let json = client.metrics(MetricsFormat::Json)?;
-    check(
-        json.contains("serve.pool.swap"),
-        "swap event lands in metrics",
-    )?;
-    check(
-        json.contains("serve.pool.dispatch.r"),
-        "per-replica dispatch counters land in metrics",
-    )?;
-
-    drop(client);
-    server.shutdown();
-    let _ = std::fs::remove_file(path);
-    let _ = std::fs::remove_file(next_path);
-    check(true, "clean shutdown")?;
-    println!("fleet smoke: PASS");
-    Ok(())
-}
-
-/// Int8 end-to-end smoke (`--smoke --int8`): the quantized model is served
-/// through the same registry/engine/protocol stack as f32, its logits stay
-/// inside the documented drift tier, batching stays invisible, and
-/// gradient-based probes are rejected with a typed error.
-fn run_int8_smoke() -> DynResult<()> {
-    ibrar_telemetry::global().enable();
-    let (registry, path, model) = checkpointed_registry()?;
-    register_int8(&registry, &path);
-    let mut server = Server::start("127.0.0.1:0", registry, ServerConfig::default())?;
-    println!("serving f32 + int8 on {}", server.addr());
-    let mut client = Client::connect(server.addr())?;
-
-    // Wire-level int8 logits must bitwise-match a local quantized forward
-    // of the donor weights (proves the registry loader quantized the
-    // round-tripped checkpoint, not some other weights).
-    let img = image(0);
-    let local = Int8Vgg::from_model(&model)?;
-    let want = local
-        .forward_logits(&Tensor::stack(std::slice::from_ref(&img))?)?
-        .row(0)?
-        .data()
-        .to_vec();
-    let (_, logits) = client.classify_with_logits(INT8_NAME, &img, 0)?;
-    check(
-        logits
-            .iter()
-            .zip(&want)
-            .all(|(a, b)| a.to_bits() == b.to_bits()),
-        "int8 wire logits bitwise-match local quantized forward",
-    )?;
-
-    // Differential against the f32 twin: inside the INT8 tolerance tier.
-    let f32_logits = local_logits(&model, &img)?;
-    let worst = logits
-        .iter()
-        .zip(&f32_logits)
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0f32, f32::max);
-    let scale = f32_logits.iter().fold(0.0f32, |m, v| m.max(v.abs()));
-    let bound = ibrar_serve::int8_logit_bound(scale);
-    check(
-        worst < bound,
-        &format!("int8 logit drift {worst:.4} < tier bound {bound:.4}"),
-    )?;
-
-    // Batching invisibility holds for int8 too: a coalesced wave answers
-    // bitwise-identically to lone requests.
-    let engine = server
-        .engine(INT8_NAME)
-        .ok_or("int8 engine missing after first request")?;
-    let lone: Vec<Vec<u32>> = (0..4)
-        .map(|i| -> DynResult<Vec<u32>> {
-            let row = engine.submit(image(i), None)?.wait()?;
-            Ok(row.data().iter().map(|v| v.to_bits()).collect())
-        })
-        .collect::<DynResult<_>>()?;
-    let wave: Vec<_> = (0..4)
-        .map(|i| engine.submit(image(i), None))
-        .collect::<Result<_, _>>()?;
-    for (i, p) in wave.into_iter().enumerate() {
-        let got: Vec<u32> = p.wait()?.data().iter().map(|v| v.to_bits()).collect();
-        check(
-            got == lone[i],
-            &format!("int8 batching invisible (row {i})"),
-        )?;
-    }
-
-    // Gradient-based probes cannot run against the tape-free int8 forward:
-    // the server must reject with the typed Unsupported error, and the f32
-    // twin must keep answering probes on the same connection.
-    let label = client.classify(INT8_NAME, &img, 0)?;
-    check(
-        matches!(
-            client.robustness_probe(INT8_NAME, &img, label, ProbeSpec::fgsm_default()),
-            Err(ServeError::Unsupported(_))
-        ),
-        "robustness probe on int8 model is a typed Unsupported error",
-    )?;
-    client.robustness_probe(MODEL_NAME, &img, label, ProbeSpec::fgsm_default())?;
-    check(true, "f32 probe still served on the same connection")?;
-
-    drop(client);
-    server.shutdown();
-    let _ = std::fs::remove_file(path);
-    check(true, "clean shutdown")?;
-    println!("int8 smoke: PASS");
-    Ok(())
-}
-
-fn wait_until(cond: impl Fn() -> bool, what: &str) -> DynResult<()> {
-    for _ in 0..5000 {
-        if cond() {
-            return Ok(());
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    Err(format!("timed out waiting for: {what}").into())
 }
 
 /// Drives `requests` classifications through a per-request engine
@@ -592,10 +199,10 @@ fn run_listen(addr: &str, int8: bool, replicas: usize, policy: DispatchPolicy) -
     // so the Metrics opcode (and `ibrar-top`) has data without requiring
     // IBRAR_TELEMETRY in the environment.
     ibrar_telemetry::global().enable();
-    let (registry, _path, _model) = checkpointed_registry()?;
-    let (_vib_path, _) = register_vib(&registry)?;
+    let (registry, path) = checkpointed_registry()?;
+    register_vib(&registry)?;
     if int8 {
-        register_int8(&registry, &_path);
+        register_int8(&registry, &path);
     }
     let server = Server::start(
         addr,
@@ -652,7 +259,7 @@ fn main() -> DynResult<()> {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--smoke" | "--throughput" => mode = args[i].clone(),
+            "--throughput" => mode = args[i].clone(),
             "--listen" | "--drive" => {
                 mode = args[i].clone();
                 i += 1;
@@ -686,9 +293,6 @@ fn main() -> DynResult<()> {
         i += 1;
     }
     match mode.as_str() {
-        "--smoke" if int8 => run_int8_smoke(),
-        "--smoke" if replicas > 1 => run_fleet_smoke(replicas, policy),
-        "--smoke" => run_smoke(),
         "--listen" => run_listen(&addr, int8, replicas, policy),
         "--drive" => run_drive(&addr, requests),
         _ => run_throughput(requests, int8),

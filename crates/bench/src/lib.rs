@@ -5,8 +5,7 @@
 //! rows (and writes them to `target/experiments/`). The [`Scale`] type lets
 //! each experiment run at `--quick` smoke-test scale, the default laptop
 //! scale, or `--full` scale with seed averaging. The [`perf`] module holds
-//! the timed workloads and the report behind the `perf_report` and
-//! `loadgen` binaries.
+//! the timed workloads and the report behind the `perf_report` binary.
 
 pub mod experiments;
 mod harness;

@@ -1,4 +1,4 @@
-//! The performance report behind the `perf_report` and `loadgen` bins: the
+//! The performance report behind the `perf_report` bin: the
 //! `ibrar-perf-report/v2` schema and its header, the JSON writer, the
 //! reader of the committed `BENCH_PR*.json` references, and the timed
 //! workloads with their fixtures, median timer and closed-loop serve wave.
@@ -164,8 +164,8 @@ pub fn references(root: &Path) -> Result<Vec<Reference>, String> {
 }
 
 /// `workload`'s reference in one report: the smallest positive, finite
-/// value among its `baseline_ms` and `optimized_ms` (v1 files, the loadgen
-/// one included) and its `median_ms` (v2).
+/// value among its `baseline_ms` and `optimized_ms` (v1 files, the
+/// `ibrar-loadgen/v1` one included) and its `median_ms` (v2).
 pub fn reference_ms(report: &Json, workload: &str) -> Option<f64> {
     let entry = report.get("workloads")?.get(workload)?;
     ["baseline_ms", "optimized_ms", "median_ms"]
@@ -175,14 +175,14 @@ pub fn reference_ms(report: &Json, workload: &str) -> Option<f64> {
         .reduce(f64::min)
 }
 
-/// The tiny VggMini the workloads and the load generator serve.
-pub fn model(seed: u64) -> VggMini {
+/// The tiny VggMini the workloads serve.
+fn model(seed: u64) -> VggMini {
     let mut rng = StdRng::seed_from_u64(seed);
     VggMini::new(VggConfig::tiny(NUM_CLASSES), &mut rng).expect("model construction")
 }
 
 /// `n` distinct single-image `[3, 16, 16]` requests.
-pub fn images(n: usize) -> Vec<Tensor> {
+fn images(n: usize) -> Vec<Tensor> {
     (0..n)
         .map(|i| {
             Tensor::from_fn(&[3, 16, 16], |idx| {
@@ -551,9 +551,9 @@ mod tests {
             ],
         )]);
         assert_eq!(reference_ms(&v1, "train_step"), Some(11.6));
-        // The loadgen v1 file carries only `optimized_ms`.
-        let loadgen = workloads(&[("serve_fleet", &[("optimized_ms", 17.7)])]);
-        assert_eq!(reference_ms(&loadgen, "serve_fleet"), Some(17.7));
+        // The `ibrar-loadgen/v1` file carries only `optimized_ms`.
+        let fleet = workloads(&[("serve_fleet", &[("optimized_ms", 17.7)])]);
+        assert_eq!(reference_ms(&fleet, "serve_fleet"), Some(17.7));
         let v2 = workloads(&[("qgemm", &[("median_ms", 0.39)])]);
         assert_eq!(reference_ms(&v2, "qgemm"), Some(0.39));
         assert_eq!(reference_ms(&v2, "train_step"), None);

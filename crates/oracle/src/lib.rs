@@ -10,9 +10,9 @@
 //! kernels can be tested *differentially* against them on seeded random
 //! inputs.
 //!
-//! The crate is a dev-dependency everywhere except `ibrar-bench`, whose
-//! `loadgen` bin draws its Poisson arrivals from [`Gen`]. Production kernels
-//! never call into it: the naive loops here are the only copy.
+//! The crate is a dev-dependency everywhere, so no library or binary links
+//! it. Production kernels never call into it: the naive loops here are the
+//! only copy.
 //!
 //! Submodules:
 //!

@@ -1,9 +1,10 @@
 //! Batching must be invisible: row `i` of a coalesced batch is bitwise
 //! identical to a single-request forward of image `i`, for every batch
-//! size, engine worker count, and kernel thread count.
+//! size, engine worker count, and kernel thread count, on the f32 model
+//! and on its int8 snapshot.
 
 use ibrar_nn::{ImageModel, Mode, Session, VggConfig, VggMini};
-use ibrar_serve::{BatchEngine, EngineConfig};
+use ibrar_serve::{BatchEngine, EngineConfig, Int8Vgg};
 use ibrar_tensor::{parallel, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -39,58 +40,63 @@ fn single_forward(model: &dyn ImageModel, img: &Tensor) -> Vec<u32> {
 
 #[test]
 fn batched_rows_are_bitwise_identical_to_single_requests() {
-    let model = model();
+    let f32_model = model();
+    let int8: Arc<dyn ImageModel> = Arc::new(Int8Vgg::from_model(f32_model.as_ref()).unwrap());
+    for model in [f32_model, int8] {
+        let name = model.name().to_string();
 
-    // The reference itself must not depend on the kernel thread count.
-    let reference: Vec<Vec<u32>> = {
-        let _one = parallel::with_threads(1);
-        (0..8)
-            .map(|i| single_forward(model.as_ref(), &image(i)))
-            .collect()
-    };
-    {
-        let _four = parallel::with_threads(4);
-        for (i, want) in reference.iter().enumerate() {
-            assert_eq!(
-                &single_forward(model.as_ref(), &image(i)),
-                want,
-                "kernel thread count changed single-forward bits (image {i})"
-            );
-        }
-    }
-
-    // Engine shapes: batch sizes 1, 3, and max_batch, each under 1 and 4
-    // worker threads.
-    for &workers in &[1usize, 4] {
-        for &max_batch in &[1usize, 3, 8] {
-            let engine = BatchEngine::new(
-                Arc::clone(&model),
-                EngineConfig {
-                    max_batch,
-                    // Generous window so a whole submission wave coalesces
-                    // into max_batch-sized batches deterministically.
-                    max_wait: Duration::from_millis(200),
-                    queue_capacity: 64,
-                    workers,
-                },
-            )
-            .unwrap();
-
-            for &n in &[1usize, 3, max_batch] {
-                let pending: Vec<_> = (0..n)
-                    .map(|i| engine.submit(image(i), None).unwrap())
-                    .collect();
-                for (i, p) in pending.into_iter().enumerate() {
-                    let row = p.wait().unwrap();
-                    let got: Vec<u32> = row.data().iter().map(|v| v.to_bits()).collect();
-                    assert_eq!(
-                        got, reference[i],
-                        "bits diverged: image {i}, n={n}, \
-                         max_batch={max_batch}, workers={workers}"
-                    );
-                }
+        // The reference itself must not depend on the kernel thread count.
+        let reference: Vec<Vec<u32>> = {
+            let _one = parallel::with_threads(1);
+            (0..8)
+                .map(|i| single_forward(model.as_ref(), &image(i)))
+                .collect()
+        };
+        {
+            let _four = parallel::with_threads(4);
+            for (i, want) in reference.iter().enumerate() {
+                assert_eq!(
+                    &single_forward(model.as_ref(), &image(i)),
+                    want,
+                    "{name}: kernel thread count changed single-forward bits (image {i})"
+                );
             }
-            engine.shutdown();
+        }
+
+        // Engine shapes: batch sizes 1, 3, and max_batch, each under 1 and
+        // 4 worker threads.
+        for &workers in &[1usize, 4] {
+            for &max_batch in &[1usize, 3, 8] {
+                let engine = BatchEngine::new(
+                    Arc::clone(&model),
+                    EngineConfig {
+                        max_batch,
+                        // Generous window so a whole submission wave
+                        // coalesces into max_batch-sized batches
+                        // deterministically.
+                        max_wait: Duration::from_millis(200),
+                        queue_capacity: 64,
+                        workers,
+                    },
+                )
+                .unwrap();
+
+                for &n in &[1usize, 3, max_batch] {
+                    let pending: Vec<_> = (0..n)
+                        .map(|i| engine.submit(image(i), None).unwrap())
+                        .collect();
+                    for (i, p) in pending.into_iter().enumerate() {
+                        let row = p.wait().unwrap();
+                        let got: Vec<u32> = row.data().iter().map(|v| v.to_bits()).collect();
+                        assert_eq!(
+                            got, reference[i],
+                            "{name}: bits diverged: image {i}, n={n}, \
+                             max_batch={max_batch}, workers={workers}"
+                        );
+                    }
+                }
+                engine.shutdown();
+            }
         }
     }
 }

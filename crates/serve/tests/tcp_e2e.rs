@@ -1,9 +1,16 @@
 //! End-to-end protocol tests: a real server on an ephemeral port, a real
 //! blocking client, typed errors across the wire, and a clean shutdown.
+//!
+//! The server holds three models, each built from different weights than
+//! its checkpoint, so every bitwise answer proves the checkpoint loaded:
+//! `vgg` (a `VggMini`), `vib` (a `VibHead<VggMini>`, served on its μ-only
+//! eval path) and `vgg-int8` (the int8 snapshot the registry loader
+//! quantizes from `vgg`'s checkpoint).
 
-use ibrar_nn::{ImageModel, Mode, Session, VggConfig, VggMini};
+use ibrar_nn::{ImageModel, Mode, Session, VggConfig, VggMini, VibHead, VibHeadConfig};
 use ibrar_serve::{
-    save_to_path, Client, EngineConfig, ModelRegistry, ProbeSpec, ServeError, Server, ServerConfig,
+    save_to_path, Client, EngineConfig, Int8Vgg, ModelRegistry, ProbeSpec, ServeError, Server,
+    ServerConfig,
 };
 use ibrar_tensor::Tensor;
 use rand::rngs::StdRng;
@@ -28,24 +35,52 @@ fn image(i: usize) -> Tensor {
     })
 }
 
-/// Builds the reference model, saves its checkpoint, and returns a running
-/// server plus the path (for cleanup) and a local copy of the model.
-fn start_server(config: ServerConfig) -> (Server, PathBuf, Arc<dyn ImageModel>) {
-    let mut rng = StdRng::seed_from_u64(42);
-    let model = VggMini::new(VggConfig::tiny(10), &mut rng).unwrap();
-    let path = temp_path("model");
-    save_to_path(&model, &path).unwrap();
+fn vgg(seed: u64) -> VggMini {
+    let mut rng = StdRng::seed_from_u64(seed);
+    VggMini::new(VggConfig::tiny(10), &mut rng).unwrap()
+}
+
+fn vib(seed: u64) -> VibHead<VggMini> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let inner = VggMini::new(VggConfig::tiny(10), &mut rng).unwrap();
+    VibHead::new(inner, VibHeadConfig::paper_default(), &mut rng).unwrap()
+}
+
+/// The weights the served models' checkpoints were saved from.
+struct Donors {
+    vgg: VggMini,
+    vib: VibHead<VggMini>,
+}
+
+/// Saves the donors' checkpoints and returns a running server plus the
+/// paths (for cleanup) and the donors. The builders start from other
+/// seeds than the donors, so every correct answer proves a load.
+fn start_server(config: ServerConfig) -> (Server, [PathBuf; 2], Donors) {
+    let donors = Donors {
+        vgg: vgg(42),
+        vib: vib(43),
+    };
+    let paths = [temp_path("model"), temp_path("vib")];
+    save_to_path(&donors.vgg, &paths[0]).unwrap();
+    save_to_path(&donors.vib, &paths[1]).unwrap();
 
     let registry = Arc::new(ModelRegistry::new());
-    let ckpt = path.clone();
-    // Different init seed than the donor: every correct answer below proves
-    // the checkpoint actually loaded.
-    registry.register("vgg", ckpt, move || {
-        let mut rng = StdRng::seed_from_u64(999);
-        Ok(Box::new(VggMini::new(VggConfig::tiny(10), &mut rng)?))
+    registry.register("vgg", paths[0].clone(), || Ok(Box::new(vgg(999))));
+    registry.register("vib", paths[1].clone(), || Ok(Box::new(vib(998))));
+    registry.register_loader("vgg-int8", paths[0].clone(), |path| {
+        let model = vgg(999);
+        ibrar_serve::load_from_path(&model, path)?;
+        Ok(Arc::new(Int8Vgg::from_model(&model)?))
     });
     let server = Server::start("127.0.0.1:0", registry, config).unwrap();
-    (server, path, Arc::new(model))
+    (server, paths, donors)
+}
+
+fn stop(mut server: Server, paths: [PathBuf; 2]) {
+    server.shutdown();
+    for path in paths {
+        let _ = std::fs::remove_file(path);
+    }
 }
 
 fn local_logits(model: &dyn ImageModel, img: &Tensor) -> Vec<f32> {
@@ -56,38 +91,61 @@ fn local_logits(model: &dyn ImageModel, img: &Tensor) -> Vec<f32> {
     out.logits.value().row(0).unwrap().data().to_vec()
 }
 
+/// Index of the first largest logit.
+fn argmax(logits: &[f32]) -> usize {
+    let mut best = 0;
+    for (j, &v) in logits.iter().enumerate() {
+        if v > logits[best] {
+            best = j;
+        }
+    }
+    best
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
 #[test]
 fn classify_over_tcp_matches_local_forward_bitwise() {
-    let (mut server, path, model) = start_server(ServerConfig::default());
+    let (server, paths, donors) = start_server(ServerConfig::default());
     let mut client = Client::connect(server.addr()).unwrap();
 
     client.ping().unwrap();
-    for i in 0..5 {
-        let img = image(i);
-        let want = local_logits(model.as_ref(), &img);
-        let (label, logits) = client.classify_with_logits("vgg", &img, 0).unwrap();
-        let want_bits: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
-        let got_bits: Vec<u32> = logits.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(got_bits, want_bits, "image {i} logits drifted over TCP");
-
-        let mut best = 0;
-        for (j, &v) in want.iter().enumerate() {
-            if v > want[best] {
-                best = j;
-            }
+    // The int8 reference quantizes the donor weights here; the served
+    // snapshot was quantized by the registry loader from the checkpoint.
+    let int8 = Int8Vgg::from_model(&donors.vgg).unwrap();
+    let models: [(&str, &dyn ImageModel); 3] = [
+        ("vgg", &donors.vgg),
+        ("vib", &donors.vib),
+        ("vgg-int8", &int8),
+    ];
+    for (name, local) in models {
+        for i in 0..5 {
+            let img = image(i);
+            let want = local_logits(local, &img);
+            let (label, logits) = client.classify_with_logits(name, &img, 0).unwrap();
+            assert_eq!(
+                bits(&logits),
+                bits(&want),
+                "{name}: image {i} logits drifted over TCP"
+            );
+            assert_eq!(label as usize, argmax(&want), "{name}: image {i}");
+            assert_eq!(client.classify(name, &img, 0).unwrap(), label);
         }
-        assert_eq!(label as usize, best);
-        assert_eq!(client.classify("vgg", &img, 0).unwrap(), label);
     }
+    // Health counts one engine per model, each built by its first request.
+    let health = client.health().unwrap();
+    assert_eq!(health.engines, 3);
+    assert_eq!(health.queue_depth, 0);
 
     drop(client);
-    server.shutdown();
-    let _ = std::fs::remove_file(path);
+    stop(server, paths);
 }
 
 #[test]
 fn unknown_model_and_bad_shape_are_typed() {
-    let (mut server, path, _model) = start_server(ServerConfig::default());
+    let (server, paths, _donors) = start_server(ServerConfig::default());
     let mut client = Client::connect(server.addr()).unwrap();
 
     assert!(matches!(
@@ -102,45 +160,50 @@ fn unknown_model_and_bad_shape_are_typed() {
     client.ping().unwrap();
 
     drop(client);
-    server.shutdown();
-    let _ = std::fs::remove_file(path);
+    stop(server, paths);
 }
 
 #[test]
 fn robustness_probe_is_deterministic_and_consistent() {
-    let (mut server, path, model) = start_server(ServerConfig::default());
+    let (server, paths, donors) = start_server(ServerConfig::default());
     let mut client = Client::connect(server.addr()).unwrap();
 
     let img = image(2);
-    let want = local_logits(model.as_ref(), &img);
-    let mut clean_pred = 0;
-    for (j, &v) in want.iter().enumerate() {
-        if v > want[clean_pred] {
-            clean_pred = j;
+    let models: [(&str, &dyn ImageModel); 2] = [("vgg", &donors.vgg), ("vib", &donors.vib)];
+    for (name, local) in models {
+        let clean_pred = argmax(&local_logits(local, &img));
+        for spec in [ProbeSpec::fgsm_default(), ProbeSpec::pgd_default()] {
+            let a = client
+                .robustness_probe(name, &img, clean_pred as u32, spec)
+                .unwrap();
+            let b = client
+                .robustness_probe(name, &img, clean_pred as u32, spec)
+                .unwrap();
+            assert_eq!(a, b, "{name}: probe must be deterministic for {spec:?}");
+            assert_eq!(a.clean_pred as usize, clean_pred, "{name}");
+            assert!(a.clean_correct, "{name}");
+            assert_eq!(a.adv_correct, a.adv_pred as usize == clean_pred);
         }
     }
 
-    for spec in [ProbeSpec::fgsm_default(), ProbeSpec::pgd_default()] {
-        let a = client
-            .robustness_probe("vgg", &img, clean_pred as u32, spec)
-            .unwrap();
-        let b = client
-            .robustness_probe("vgg", &img, clean_pred as u32, spec)
-            .unwrap();
-        assert_eq!(a, b, "probe must be deterministic for {spec:?}");
-        assert_eq!(a.clean_pred as usize, clean_pred);
-        assert!(a.clean_correct);
-        assert_eq!(a.adv_correct, a.adv_pred as usize == clean_pred);
-    }
+    // The int8 forward has no input gradients, so its probe is a typed
+    // rejection, and the connection goes on serving f32 probes.
+    let label = client.classify("vgg-int8", &img, 0).unwrap();
+    assert!(matches!(
+        client.robustness_probe("vgg-int8", &img, label, ProbeSpec::fgsm_default()),
+        Err(ServeError::Unsupported(_))
+    ));
+    client
+        .robustness_probe("vgg", &img, label, ProbeSpec::fgsm_default())
+        .unwrap();
 
     drop(client);
-    server.shutdown();
-    let _ = std::fs::remove_file(path);
+    stop(server, paths);
 }
 
 #[test]
 fn queue_full_and_deadline_cross_the_wire_typed() {
-    let (mut server, path, _model) = start_server(ServerConfig {
+    let (server, paths, _donors) = start_server(ServerConfig {
         engine: EngineConfig {
             max_batch: 2,
             max_wait: Duration::from_millis(1),
@@ -206,6 +269,5 @@ fn queue_full_and_deadline_cross_the_wire_typed() {
     client.classify("vgg", &image(3), 0).unwrap();
 
     drop(client);
-    server.shutdown();
-    let _ = std::fs::remove_file(path);
+    stop(server, paths);
 }

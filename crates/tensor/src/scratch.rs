@@ -31,14 +31,13 @@
 //!
 //! # Controls and telemetry
 //!
-//! `IBRAR_SCRATCH=0` disables pooling process-wide (read once);
-//! [`with_enabled`] overrides it for the current thread (RAII, nests), and
-//! [`clear`] empties the current thread's pool. Checkouts count
-//! `alloc.pool.hit` / `alloc.pool.miss` telemetry counters and the
-//! always-on thread-local totals returned by [`stats`].
+//! Pooling is on. [`with_enabled`]`(false)` turns it off for the current
+//! thread (RAII, nests) — the pool-off reference the invisibility tests
+//! compare against — and [`clear`] empties the current thread's pool.
+//! Checkouts count `alloc.pool.hit` / `alloc.pool.miss` telemetry counters
+//! and the always-on thread-local totals returned by [`stats`].
 
 use std::cell::{Cell, RefCell};
-use std::sync::OnceLock;
 
 use ibrar_telemetry as tel;
 
@@ -73,19 +72,10 @@ thread_local! {
     static MISSES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn env_enabled() -> bool {
-    static ENV: OnceLock<bool> = OnceLock::new();
-    *ENV.get_or_init(|| match std::env::var("IBRAR_SCRATCH") {
-        Ok(v) => v.trim() != "0",
-        Err(_) => true,
-    })
-}
-
 /// Whether checkouts on the current thread go through the pool: the
-/// innermost [`with_enabled`] override if one is active, else
-/// `IBRAR_SCRATCH` (anything but `0` enables, default on).
+/// innermost [`with_enabled`] override if one is active, else on.
 pub fn enabled() -> bool {
-    OVERRIDE.with(Cell::get).unwrap_or_else(env_enabled)
+    OVERRIDE.with(Cell::get).unwrap_or(true)
 }
 
 /// RAII guard restoring the previous enable override on drop.

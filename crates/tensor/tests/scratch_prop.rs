@@ -2,7 +2,7 @@
 //!
 //! Running an arbitrary interleaved sequence of tensor operations must
 //! produce bitwise-identical results whether the pool is warm, disabled
-//! (`IBRAR_SCRATCH=0` / [`scratch::with_enabled`]), or freshly cleared —
+//! ([`scratch::with_enabled`]`(false)`), or freshly cleared —
 //! recycled buffers carry no state into the values an op produces.
 
 use ibrar_tensor::{im2col, scratch, Conv2dSpec, Tensor};

@@ -1,21 +1,25 @@
 #!/usr/bin/env bash
-# Tier-1 verification: release build, the whole workspace's test suite
-# under both the default thread count and IBRAR_THREADS=1 (the determinism
-# guarantee says the two runs must see identical numbers — this includes
-# the differential, conformance, gradient-audit and golden snapshot
-# suites, so each test binary runs once per thread count), an end-to-end
-# inference-server + metrics-endpoint smoke test, the committed perf
-# regression gate, the repository benchmark's build and smoke test, and
-# workspace-wide lint gates. Build and test steps pass `--locked`, so a
-# manifest edit without the matching `Cargo.lock` update fails here.
+# Tier-1 verification, in order:
+#   1. release build;
+#   2. the whole workspace's test suite under the default thread count and
+#      under IBRAR_THREADS=1 (the determinism guarantee says the two runs
+#      must see identical numbers; this includes the differential,
+#      conformance, gradient-audit and golden snapshot suites and the
+#      end-to-end serving tests in crates/serve/tests, so each test binary
+#      runs once per thread count);
+#   3. the perf_report smoke and its committed regression gate (--check);
+#   4. the repository benchmark's build and smoke test (ibbench/);
+#   5. workspace-wide clippy and fmt gates.
+# Build and test steps pass `--locked`, so a manifest edit without the
+# matching `Cargo.lock` update fails here.
 #
 # A failing workspace test run does not stop the script. Each run goes
 # through every test binary (`--no-fail-fast`), the other thread count and
 # every later gate still run, and the script exits non-zero at the end. So
 # one failing test cannot hide another, or a broken gate after it.
 #
-#   scripts/ci.sh            # build + tests (2 thread configs) + clippy + fmt
-#   scripts/ci.sh --fast     # lib tests only, no release build; same lints
+#   scripts/ci.sh            # steps 1-5
+#   scripts/ci.sh --fast     # lib tests only, no release build; step 5's lints
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -44,30 +48,6 @@ else
 
     echo "== test (IBRAR_THREADS=1) =="
     IBRAR_THREADS=1 cargo test -q --locked --workspace --no-fail-fast || TESTS_FAILED=1
-
-    echo "== serve smoke (ephemeral port) =="
-    # End-to-end through the inference server: checkpoint load, classify,
-    # robustness probe, typed queue-full/deadline backpressure, clean
-    # shutdown. Exits non-zero on any failure.
-    cargo run --release -q --locked -p ibrar-bench --bin serve -- --smoke
-
-    echo "== int8 serve smoke (ephemeral port) =="
-    # Same end-to-end path against the post-training-quantized model:
-    # registry loader quantizes the checkpoint, wire logits match the local
-    # int8 forward bitwise and track f32 inside the INT8 tolerance tier,
-    # and robustness probes fail typed (int8 has no input gradients).
-    cargo run --release -q --locked -p ibrar-bench --bin serve -- --smoke --int8
-
-    echo "== fleet serve smoke (2 replicas + live rollout) =="
-    # Two-replica pool over the real wire: fleet answers bitwise like a
-    # local forward, health counts every replica, and one hot checkpoint
-    # rollout lands (version bump, new weights bitwise, swap in metrics).
-    cargo run --release -q --locked -p ibrar-bench --bin serve -- --smoke --replicas 2
-
-    echo "== loadgen smoke (ibrar-perf-report/v2 on stdout) =="
-    # Tiny open-loop Poisson run with a mid-run rollout; fails if either
-    # phase answers no request. Writes no file.
-    cargo run --release -q --locked -p ibrar-bench --bin loadgen -- --smoke
 
     echo "== perf report smoke (ibrar-perf-report/v2 on stdout, no timing assertions) =="
     # Times every perf_report workload at toy sizes and checks that each

@@ -16,7 +16,7 @@
 //! verify under any `IBRAR_THREADS` setting and any `rand` implementation.
 
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use ibrar::{IbLossConfig, TrainMethod, TrainReport, Trainer, TrainerConfig};
 use ibrar_attacks::{Attack, CwL2, Fab, Fgsm, NiFgsm, Pgd};
@@ -30,7 +30,9 @@ use rand::SeedableRng;
 
 /// Serializes the golden tests: `with_threads` is thread-local, but the
 /// trainer and attacks share model state and telemetry, so overlapping
-/// runs would interleave in ways that are pointless to reason about.
+/// runs would interleave in ways that are pointless to reason about. The
+/// lock guards no data, so when a failing golden test poisons it the
+/// others take it anyway and each still gives its own verdict.
 static GOLDEN_LOCK: Mutex<()> = Mutex::new(());
 
 const NUM_CLASSES: usize = 4;
@@ -125,7 +127,7 @@ fn push_training_run(
 
 #[test]
 fn training_run_matches_golden() {
-    let _guard = GOLDEN_LOCK.lock().unwrap();
+    let _guard = GOLDEN_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let _threads = parallel::with_threads(1);
 
     let model = pseudo_model(0x90_0001);
@@ -151,7 +153,7 @@ fn training_run_matches_golden() {
 /// or the rsample/kl_gauss kernels changed.
 #[test]
 fn vib_training_run_matches_golden() {
-    let _guard = GOLDEN_LOCK.lock().unwrap();
+    let _guard = GOLDEN_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let _threads = parallel::with_threads(1);
 
     let model = pseudo_vib_model(0x90_0020);
@@ -182,7 +184,7 @@ fn vib_training_run_matches_golden() {
 /// `pgd.json` pins the PGD loop itself.
 #[test]
 fn adversarial_training_runs_match_golden() {
-    let _guard = GOLDEN_LOCK.lock().unwrap();
+    let _guard = GOLDEN_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let _threads = parallel::with_threads(1);
 
     let (eps, alpha, steps) = (0.0, 2.0 / 255.0, 2);
@@ -238,7 +240,7 @@ fn adversarial_training_runs_match_golden() {
 /// weights and the batch.
 #[test]
 fn vib_fgsm_attack_matches_golden() {
-    let _guard = GOLDEN_LOCK.lock().unwrap();
+    let _guard = GOLDEN_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let _threads = parallel::with_threads(1);
 
     let model = pseudo_vib_model(0x90_0030);
@@ -261,7 +263,7 @@ fn vib_fgsm_attack_matches_golden() {
 /// plus its leading values and the L∞ distortion actually used.
 #[test]
 fn attacks_match_golden() {
-    let _guard = GOLDEN_LOCK.lock().unwrap();
+    let _guard = GOLDEN_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let _threads = parallel::with_threads(1);
 
     let model = pseudo_model(0x90_0010);
