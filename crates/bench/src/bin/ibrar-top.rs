@@ -140,28 +140,12 @@ fn render(addr: &str, frame: &Frame, prev: Option<&Frame>) -> String {
     out
 }
 
-/// Replica-fleet panel, present when the server routes through a
-/// [`ReplicaPool`](ibrar_serve::ReplicaPool) (the `serve.pool.*` family
-/// only exists then). Replica rows are discovered by scanning the snapshot
-/// for per-replica counter/gauge names, so the panel tracks fleet size —
-/// including replicas added by a rollout — without a protocol change.
+/// Replica-fleet panel, present once the server has a
+/// [`ReplicaPool`](ibrar_serve::ReplicaPool): replica rows are discovered
+/// by scanning the snapshot for the per-replica dispatch counters and
+/// queue/in-flight gauges, so the panel tracks fleet size without a
+/// protocol change.
 fn fleet_section(out: &mut String, s: &Snapshot) {
-    let Some(generation) = s.gauge("serve.pool.generation") else {
-        return;
-    };
-    out.push_str(&format!(
-        "\nfleet: generation {generation:.0}   alive {}   swaps {}   drained {}\n\
-         shed {}   failover {}   killed {}   rollout rejected {}\n",
-        s.gauge("serve.pool.replicas_alive")
-            .map_or("-".into(), |v| format!("{v:.0}")),
-        s.counter("serve.pool.swap").unwrap_or(0),
-        s.counter("serve.pool.rollout_drained").unwrap_or(0),
-        s.counter("serve.pool.shed").unwrap_or(0),
-        s.counter("serve.pool.failover").unwrap_or(0),
-        s.counter("serve.pool.replica_killed").unwrap_or(0),
-        s.counter("serve.pool.rollout_rejected").unwrap_or(0),
-    ));
-
     let mut ids: Vec<usize> = s
         .counters
         .iter()
@@ -177,6 +161,12 @@ fn fleet_section(out: &mut String, s: &Snapshot) {
     if ids.is_empty() {
         return;
     }
+    out.push_str(&format!(
+        "\nfleet: replicas {}   shed {}   failover {}\n",
+        ids.len(),
+        s.counter("serve.pool.shed").unwrap_or(0),
+        s.counter("serve.pool.failover").unwrap_or(0),
+    ));
     out.push_str(&format!(
         "  {:<8} {:>11} {:>7} {:>10}\n",
         "replica", "dispatched", "queue", "in-flight"

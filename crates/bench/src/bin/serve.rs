@@ -14,13 +14,11 @@
 
 use ibrar_nn::{ImageModel, VggConfig, VggMini, VibHead, VibHeadConfig};
 use ibrar_serve::{
-    save_to_path, BatchEngine, Client, DispatchPolicy, EngineConfig, Int8Vgg, ModelRegistry,
-    Server, ServerConfig,
+    save_to_path, BatchEngine, Client, EngineConfig, Int8Vgg, ModelRegistry, Server, ServerConfig,
 };
 use ibrar_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -34,7 +32,7 @@ const NUM_CLASSES: usize = 10;
 fn usage() -> ! {
     eprintln!(
         "usage: serve [--throughput [--requests N] | --listen ADDR | --drive ADDR]\n\
-         \x20            [--replicas N] [--policy P] [--int8]\n\
+         \x20            [--replicas N] [--int8]\n\
          \n\
          --throughput  compare batched vs per-request engine throughput\n\
          --requests N  wave size for --throughput / --drive (default 64)\n\
@@ -42,7 +40,6 @@ fn usage() -> ! {
          --drive ADDR  send N traced classify requests at a --listen server\n\
          \x20             (load for the ibrar-top dashboard)\n\
          --replicas N  replicas per model pool for --listen (default 1)\n\
-         --policy P    fleet dispatch: least-depth (default) or consistent-hash\n\
          --int8        with --listen, also serve the post-training-quantized\n\
          \x20             int8 model ('vgg-int8'); with --throughput, time it\n\
          \x20             instead of the f32 model"
@@ -61,37 +58,6 @@ fn build_model(seed: u64) -> DynResult<VggMini> {
     Ok(VggMini::new(VggConfig::tiny(NUM_CLASSES), &mut rng)?)
 }
 
-/// Saves a checkpoint for the reference model and registers a builder that
-/// starts from *different* weights, so every correct answer proves the
-/// checkpoint round-trip actually happened.
-fn checkpointed_registry() -> DynResult<(Arc<ModelRegistry>, PathBuf)> {
-    let model = build_model(42)?;
-    let path = std::env::temp_dir().join(format!("ibrar-serve-bin-{}.ibsc", std::process::id()));
-    save_to_path(&model, &path)?;
-
-    let registry = Arc::new(ModelRegistry::new());
-    registry.register(MODEL_NAME, path.clone(), move || {
-        let mut rng = StdRng::seed_from_u64(999);
-        Ok(Box::new(VggMini::new(
-            VggConfig::tiny(NUM_CLASSES),
-            &mut rng,
-        )?))
-    });
-    Ok((registry, path))
-}
-
-/// Registers the int8 post-training-quantized view of the same checkpoint
-/// under [`INT8_NAME`]: the loader builds a fresh f32 `VggMini`, restores
-/// the weights, then snapshots them into an [`Int8Vgg`].
-fn register_int8(registry: &ModelRegistry, path: &std::path::Path) {
-    registry.register_loader(INT8_NAME, path.to_path_buf(), |path| {
-        let mut rng = StdRng::seed_from_u64(999);
-        let model = VggMini::new(VggConfig::tiny(NUM_CLASSES), &mut rng)?;
-        ibrar_serve::load_from_path(&model, path)?;
-        Ok(Arc::new(Int8Vgg::from_model(&model)?))
-    });
-}
-
 fn build_vib(seed: u64) -> DynResult<VibHead<VggMini>> {
     let mut rng = StdRng::seed_from_u64(seed);
     let inner = VggMini::new(VggConfig::tiny(NUM_CLASSES), &mut rng)?;
@@ -102,20 +68,53 @@ fn build_vib(seed: u64) -> DynResult<VibHead<VggMini>> {
     )?)
 }
 
-/// Checkpoints a VIB donor and registers the architecture under
-/// [`VIB_NAME`]. Like [`checkpointed_registry`], the builder starts from
-/// different weights, so correct answers prove the round-trip; serving
-/// always runs the deterministic μ-only eval path.
-fn register_vib(registry: &ModelRegistry) -> DynResult<()> {
-    let path =
-        std::env::temp_dir().join(format!("ibrar-serve-bin-vib-{}.ibsc", std::process::id()));
-    save_to_path(&build_vib(43)?, &path)?;
-    registry.register(VIB_NAME, path, || {
-        Ok(Box::new(build_vib(998).map_err(|e| {
-            ibrar_nn::NnError::Config(format!("vib builder: {e}"))
-        })?))
-    });
-    Ok(())
+/// Checkpoints fresh donors for [`MODEL_NAME`] and [`VIB_NAME`] in the
+/// temp dir and registers builders that start from *different* weights
+/// (plus [`INT8_NAME`] with `int8`), so every correct answer proves the
+/// checkpoint round-trip happened; VIB serving runs the deterministic
+/// μ-only eval path. Every registered model is loaded here, and nothing
+/// reloads a model after its first load, so both checkpoints are removed
+/// before this returns: a server that runs until killed leaves no files.
+fn checkpointed_registry(int8: bool) -> DynResult<Arc<ModelRegistry>> {
+    let dir = std::env::temp_dir();
+    let pid = std::process::id();
+    let vgg_path = dir.join(format!("ibrar-serve-bin-{pid}.ibsc"));
+    let vib_path = dir.join(format!("ibrar-serve-bin-vib-{pid}.ibsc"));
+    let registry = Arc::new(ModelRegistry::new());
+    let loaded = (|| -> DynResult<()> {
+        save_to_path(&build_model(42)?, &vgg_path)?;
+        save_to_path(&build_vib(43)?, &vib_path)?;
+        registry.register(MODEL_NAME, vgg_path.clone(), || {
+            let mut rng = StdRng::seed_from_u64(999);
+            Ok(Box::new(VggMini::new(
+                VggConfig::tiny(NUM_CLASSES),
+                &mut rng,
+            )?))
+        });
+        registry.register(VIB_NAME, vib_path.clone(), || {
+            Ok(Box::new(build_vib(998).map_err(|e| {
+                ibrar_nn::NnError::Config(format!("vib builder: {e}"))
+            })?))
+        });
+        if int8 {
+            // The int8 view of the same checkpoint: a fresh f32 `VggMini`
+            // restores the weights, then snapshots them into an `Int8Vgg`.
+            registry.register_loader(INT8_NAME, vgg_path.clone(), |path| {
+                let mut rng = StdRng::seed_from_u64(999);
+                let model = VggMini::new(VggConfig::tiny(NUM_CLASSES), &mut rng)?;
+                ibrar_serve::load_from_path(&model, path)?;
+                Ok(Arc::new(Int8Vgg::from_model(&model)?))
+            });
+        }
+        for name in registry.names() {
+            registry.get(&name)?;
+        }
+        Ok(())
+    })();
+    for path in [&vgg_path, &vib_path] {
+        let _ = std::fs::remove_file(path);
+    }
+    loaded.map(|()| registry)
 }
 
 /// Drives `requests` classifications through a per-request engine
@@ -192,24 +191,19 @@ fn run_throughput(requests: usize, int8: bool) -> DynResult<()> {
     Ok(())
 }
 
-/// Serves until the process is killed. Checkpoints a fresh model first so
+/// Serves until the process is killed. Checkpoints fresh models first so
 /// the registry exercises the real load path.
-fn run_listen(addr: &str, int8: bool, replicas: usize, policy: DispatchPolicy) -> DynResult<()> {
+fn run_listen(addr: &str, int8: bool, replicas: usize) -> DynResult<()> {
     // A listening server exists to be observed: turn metric collection on
     // so the Metrics opcode (and `ibrar-top`) has data without requiring
     // IBRAR_TELEMETRY in the environment.
     ibrar_telemetry::global().enable();
-    let (registry, path) = checkpointed_registry()?;
-    register_vib(&registry)?;
-    if int8 {
-        register_int8(&registry, &path);
-    }
+    let registry = checkpointed_registry(int8)?;
     let server = Server::start(
         addr,
         registry,
         ServerConfig {
             replicas,
-            policy,
             ..ServerConfig::default()
         },
     )?;
@@ -255,7 +249,6 @@ fn main() -> DynResult<()> {
     let mut addr = String::new();
     let mut int8 = false;
     let mut replicas = 1usize;
-    let mut policy = DispatchPolicy::LeastQueueDepth;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -280,20 +273,13 @@ fn main() -> DynResult<()> {
                     .filter(|&n| n > 0)
                     .unwrap_or_else(|| usage());
             }
-            "--policy" => {
-                i += 1;
-                policy = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
             "--int8" => int8 = true,
             _ => usage(),
         }
         i += 1;
     }
     match mode.as_str() {
-        "--listen" => run_listen(&addr, int8, replicas, policy),
+        "--listen" => run_listen(&addr, int8, replicas),
         "--drive" => run_drive(&addr, requests),
         _ => run_throughput(requests, int8),
     }

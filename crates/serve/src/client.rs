@@ -16,16 +16,6 @@ use ibrar_tensor::Tensor;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-/// Acknowledgment of a completed hot-swap, returned by [`Client::rollout`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RolloutAck {
-    /// Checkpoint generation now serving (registry version).
-    pub version: u64,
-    /// Exact count of old-generation in-flight requests answered during
-    /// the drain (zero were dropped).
-    pub drained: u64,
-}
-
 /// Server liveness summary returned by [`Client::health`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HealthReport {
@@ -186,27 +176,6 @@ impl Client {
                 label,
                 logits: Some(row),
             } => Ok((label, row)),
-            other => Err(unexpected(&other)),
-        }
-    }
-
-    /// Admin: hot-swaps `model` onto the checkpoint at the server-local
-    /// path `checkpoint`. Returns once the old replica generation has
-    /// fully drained — every request it had accepted was answered.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::UnknownModel`] for unregistered names, a
-    /// typed rejection when the checkpoint is unloadable or its
-    /// architecture fingerprint does not match the serving fleet, or a
-    /// transport error.
-    pub fn rollout(&mut self, model: &str, checkpoint: &str) -> Result<RolloutAck> {
-        let req = Request::Rollout {
-            model: model.to_string(),
-            checkpoint: checkpoint.to_string(),
-        };
-        match self.call(&req)? {
-            Response::RolledOut { version, drained } => Ok(RolloutAck { version, drained }),
             other => Err(unexpected(&other)),
         }
     }

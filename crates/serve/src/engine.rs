@@ -26,6 +26,9 @@
 //!   row-independent and deterministic, so row `i` of a batched forward is
 //!   bitwise identical to a single-request forward of image `i` — see
 //!   `tests/batching_identity.rs`.
+//! * **Load is counted, not guessed.** [`BatchEngine::in_flight`] counts
+//!   every accepted request until its job is dropped (queued, batching, or
+//!   in a forward); the replica pool routes on it.
 //!
 //! The [`BatchEngine::pause`] gate exists for deterministic tests: it holds
 //! the batcher *between* taking a request and assembling the rest of the
@@ -147,40 +150,27 @@ struct Job {
     dequeued: Instant,
     trace: Option<TraceId>,
     reply: mpsc::Sender<Result<(ibrar_tensor::Tensor, StageTimings)>>,
-    /// Accounting token: alive from acceptance until the reply is sent
-    /// (or the job is dropped on any path), so [`BatchEngine::drain`] can
-    /// prove every accepted request was answered.
+    /// Accounting token: alive from acceptance until the job is dropped,
+    /// which is what [`BatchEngine::in_flight`] counts.
     _inflight: InflightToken,
-}
-
-/// Count of requests accepted but not yet answered, with a condvar so
-/// [`BatchEngine::drain`] can wait for it to hit zero.
-#[derive(Default)]
-struct Inflight {
-    count: Mutex<usize>,
-    cv: Condvar,
 }
 
 /// RAII increment of the in-flight count; the `Drop` decrement fires on
 /// *every* job-consumption path — successful reply, typed error reply,
 /// shutdown fail-drain, or a dropped channel — so the count can never
 /// leak. One token is minted per accepted request in `submit_traced`.
-struct InflightToken(Arc<Inflight>);
+struct InflightToken(Arc<AtomicUsize>);
 
 impl InflightToken {
-    fn mint(inflight: &Arc<Inflight>) -> Self {
-        *inflight.count.lock() += 1;
+    fn mint(inflight: &Arc<AtomicUsize>) -> Self {
+        inflight.fetch_add(1, Ordering::SeqCst);
         InflightToken(Arc::clone(inflight))
     }
 }
 
 impl Drop for InflightToken {
     fn drop(&mut self) {
-        let mut n = self.0.count.lock();
-        *n = n.saturating_sub(1);
-        if *n == 0 {
-            self.0.cv.notify_all();
-        }
+        self.0.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -207,7 +197,7 @@ impl Gate {
     }
 }
 
-/// Holds the batcher paused; dropping it resumes draining.
+/// Holds the batcher paused; dropping it resumes batching.
 pub struct PauseGuard<'e> {
     gate: &'e Gate,
 }
@@ -251,8 +241,7 @@ pub struct BatchEngine {
     config: EngineConfig,
     submit_tx: SyncSender<Job>,
     queue_depth: Arc<AtomicUsize>,
-    inflight: Arc<Inflight>,
-    draining: AtomicBool,
+    inflight: Arc<AtomicUsize>,
     gate: Arc<Gate>,
     shutdown: Arc<AtomicBool>,
     threads: Mutex<Vec<JoinHandle<()>>>,
@@ -305,8 +294,7 @@ impl BatchEngine {
             config,
             submit_tx,
             queue_depth,
-            inflight: Arc::new(Inflight::default()),
-            draining: AtomicBool::new(false),
+            inflight: Arc::new(AtomicUsize::new(0)),
             gate,
             shutdown,
             threads: Mutex::new(threads),
@@ -329,39 +317,10 @@ impl BatchEngine {
     }
 
     /// Requests accepted but not yet answered: queued, batching, or in a
-    /// forward pass. This is the load signal the fleet router balances on
+    /// forward pass. This is the load signal the replica pool balances on
     /// (`queue_depth` alone goes dark the instant the batcher dequeues).
     pub fn in_flight(&self) -> usize {
-        *self.inflight.count.lock()
-    }
-
-    /// Whether [`BatchEngine::drain`] has closed the submit gate.
-    pub fn is_draining(&self) -> bool {
-        self.draining.load(Ordering::SeqCst)
-    }
-
-    /// Closes the submit gate (new submissions fail with
-    /// [`ServeError::Draining`]) and blocks until every already-accepted
-    /// request has been answered. Returns the number of requests that were
-    /// in flight when the gate closed — the exact count the rollout
-    /// invariant ("zero dropped in-flight requests") is proven against.
-    ///
-    /// Idempotent; a second call returns the remaining count (usually 0).
-    /// Callers typically follow with [`BatchEngine::shutdown`].
-    pub fn drain(&self) -> usize {
-        // Lock before publishing the flag: a completion racing the gate
-        // close blocks on this mutex until `at_gate_close` is read, so
-        // observers that see `is_draining()` know the count was captured
-        // with every one of those requests still in flight. The exact-drain
-        // test leans on this ordering.
-        let mut n = self.inflight.count.lock();
-        self.draining.store(true, Ordering::SeqCst);
-        let at_gate_close = *n;
-        while *n > 0 {
-            self.inflight.cv.wait(&mut n);
-        }
-        tel::counter("serve.drained", at_gate_close as u64);
-        at_gate_close
+        self.inflight.load(Ordering::SeqCst)
     }
 
     /// Parks the batcher until the guard drops (deterministic tests only).
@@ -404,10 +363,6 @@ impl BatchEngine {
     ) -> Result<PendingResponse> {
         if self.shutdown.load(Ordering::SeqCst) {
             return Err(ServeError::Shutdown);
-        }
-        if self.draining.load(Ordering::SeqCst) {
-            tel::counter("serve.rejected.draining", 1);
-            return Err(ServeError::Draining);
         }
         let expect = self.model.input_shape();
         if image.shape() != expect {

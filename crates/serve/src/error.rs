@@ -23,11 +23,6 @@ pub enum ServeError {
     Checkpoint(String),
     /// The engine or server is shutting down.
     Shutdown,
-    /// The engine is draining for a rollout: in-flight requests finish,
-    /// new submissions are rejected. Typed separately from
-    /// [`ServeError::Shutdown`] because the condition is transient — a
-    /// fleet router retries another replica, a client retries the fleet.
-    Draining,
     /// A malformed frame or bad field on the wire.
     Protocol(String),
     /// A well-formed request for an opcode (or sub-selector) this server
@@ -55,7 +50,6 @@ impl fmt::Display for ServeError {
             ServeError::UnknownModel(name) => write!(f, "unknown model: {name}"),
             ServeError::Checkpoint(msg) => write!(f, "checkpoint error: {msg}"),
             ServeError::Shutdown => write!(f, "server shutting down"),
-            ServeError::Draining => write!(f, "engine draining for rollout; retry"),
             ServeError::Protocol(msg) => write!(f, "protocol error: {msg}"),
             ServeError::Unsupported(msg) => write!(f, "unsupported request: {msg}"),
             ServeError::InvalidInput(msg) => write!(f, "invalid input: {msg}"),
@@ -113,7 +107,6 @@ mod tests {
             ServeError::UnknownModel("m".into()),
             ServeError::Checkpoint("c".into()),
             ServeError::Shutdown,
-            ServeError::Draining,
             ServeError::Protocol("p".into()),
             ServeError::Unsupported("u".into()),
             ServeError::Io("i".into()),

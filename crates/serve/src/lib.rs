@@ -4,7 +4,7 @@
 //! The training side of this workspace produces models whose claim to fame
 //! is *robustness*; this crate is the serving side that lets those models
 //! answer queries — including adversarial-robustness queries — over a
-//! socket. Four layers, bottom to top:
+//! socket. Five layers, bottom to top:
 //!
 //! 1. **Checkpoints** ([`checkpoint`]): a versioned on-disk format (`IBSC`)
 //!    wrapping [`ibrar_nn::save_params`] payloads with an architecture
@@ -19,7 +19,11 @@
 //!    with typed [`ServeError::DeadlineExceeded`] expiry. Batching never
 //!    changes answers: results are bitwise identical to single-request
 //!    inference.
-//! 4. **Protocol** ([`protocol`], [`server::Server`], [`client::Client`]):
+//! 4. **Replicas** ([`pool::ReplicaPool`]): N engines built once for one
+//!    model, tried in least-outstanding order with failover past a full
+//!    queue and an optional fleet-wide in-flight cap. Which replica serves
+//!    a request never changes its logits.
+//! 5. **Protocol** ([`protocol`], [`server::Server`], [`client::Client`]):
 //!    a length-prefixed binary protocol over plain `std::net` TCP with
 //!    `classify`, `classify_with_logits`, and `robustness_probe` (FGSM /
 //!    deterministic PGD from `ibrar-attacks`) calls.
@@ -74,24 +78,22 @@ pub mod pool;
 pub mod protocol;
 pub mod quant;
 pub mod registry;
-pub mod router;
 pub mod server;
 pub mod trace;
 
 pub use checkpoint::{load_from_path, read_header, save_to_path, CheckpointHeader, ParamSpec};
-pub use client::{Client, HealthReport, RolloutAck};
+pub use client::{Client, HealthReport};
 pub use engine::{
     BatchEngine, Classification, EngineConfig, PauseGuard, PendingResponse, StageTimings,
 };
 pub use error::ServeError;
 pub use flight::{FlightRecord, FlightRecorder};
-pub use pool::{PoolConfig, Replica, ReplicaPool, RolloutReport};
+pub use pool::{DispatchPolicy, PoolConfig, ReplicaPool};
 pub use protocol::{AttackKind, MetricsFormat, Opcode, ProbeReport, ProbeSpec, Status, TRACE_FLAG};
 pub use quant::{
     int8_logit_bound, Int8Vgg, INT8_ACCURACY_DELTA, INT8_LOGIT_REL_TOLERANCE, INT8_LOGIT_TOLERANCE,
 };
 pub use registry::{ModelBuilder, ModelLoader, ModelRegistry};
-pub use router::{DispatchPolicy, Router};
 pub use server::{Server, ServerConfig};
 pub use trace::TraceId;
 

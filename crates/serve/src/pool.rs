@@ -1,53 +1,46 @@
-//! Replica fleet: N independent [`BatchEngine`]s behind one submit path.
+//! Replica fleet: N [`BatchEngine`]s for one model behind one submit path.
 //!
-//! A [`ReplicaPool`] owns a *generation* of replicas — same model `Arc`,
-//! each with its own bounded queue, batcher, and workers — and routes every
-//! request through a [`Router`] policy. Three fleet behaviors layer on top
-//! of the single-engine guarantees:
+//! A [`ReplicaPool`] is built once around one model `Arc`: N replicas, each
+//! with its own bounded queue, batcher, and workers. Every request tries
+//! the replicas in least-outstanding order (queued *and* dispatched
+//! requests; ties break to the lowest replica id), and two fleet behaviors
+//! layer on top of the single-engine guarantees:
 //!
+//! * **Failover.** A replica whose queue is full rejects with
+//!   [`ServeError::QueueFull`] and the request moves on to the next
+//!   candidate (`serve.pool.failover`); only when every replica rejects
+//!   does the caller see `QueueFull`.
 //! * **Admission control.** An optional fleet-wide in-flight cap sheds
-//!   load with the same typed [`ServeError::QueueFull`] the engines use,
-//!   before any replica queue is touched. Under least-depth dispatch a
-//!   full replica triggers failover to the next candidate; only when every
-//!   live replica rejects does the caller see `QueueFull`. Consistent-hash
-//!   dispatch deliberately does *not* fail over on backpressure — affinity
-//!   is the point — so a full primary sheds immediately.
-//! * **Zero-downtime rollout.** [`ReplicaPool::rollout`] builds a full new
-//!   generation for the incoming model, atomically swaps it in (new
-//!   requests see only the new generation), then [`BatchEngine::drain`]s
-//!   the old one. The drain gate closes *after* the swap, so every request
-//!   accepted by the old generation is answered — zero dropped in-flight
-//!   requests, proven by the exact drain counter the call returns. Rollout
-//!   is keyed off the IBSC architecture fingerprint: a model whose
-//!   fingerprint differs from the serving fleet is rejected with a typed
-//!   checkpoint error before any replica is built.
-//! * **Fault isolation.** [`ReplicaPool::kill_replica`] marks a replica
-//!   dead and shuts its engine down; routing skips dead replicas, queued
-//!   requests on the victim fail with typed [`ServeError::Shutdown`], and
-//!   survivors keep serving.
+//!   load with the same typed [`ServeError::QueueFull`] before any replica
+//!   queue is touched (`serve.pool.shed`).
 //!
 //! Determinism: every replica serves the same model `Arc`, every forward
 //! runs in `Mode::Eval` on a fresh tape, and the single-engine
 //! batching-identity guarantee (row `i` of a batch ≡ single forward of
 //! image `i`) is replica-independent — so a request's logits are bitwise
 //! identical whichever replica serves it. `tests/fleet_determinism.rs`
-//! pins this at replicas {1, 2, 4} × both policies × thread counts.
+//! pins this at replicas {1, 2, 4} × thread counts.
 
 use crate::engine::{BatchEngine, EngineConfig, PendingResponse};
-use crate::router::{DispatchPolicy, Router};
 use crate::trace::TraceId;
 use crate::{Result, ServeError};
-use ibrar_nn::{architecture_fingerprint, ImageModel};
+use ibrar_nn::ImageModel;
 use ibrar_telemetry as tel;
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// Replica-selection policy for a [`ReplicaPool`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DispatchPolicy {
+    /// Try replicas in ascending outstanding-request order, ties to the
+    /// lowest id, failing over past a full replica.
+    LeastQueueDepth,
+}
 
 /// Tuning knobs for a [`ReplicaPool`].
 #[derive(Debug, Clone)]
 pub struct PoolConfig {
-    /// Replica count per generation.
+    /// Replica count.
     pub replicas: usize,
     /// Per-replica engine configuration (each replica gets its own queue
     /// and workers at these sizes).
@@ -91,95 +84,23 @@ impl PoolConfig {
     }
 }
 
-/// One engine slot in a generation: a [`BatchEngine`] plus fleet metadata.
-pub struct Replica {
-    id: usize,
-    engine: Arc<BatchEngine>,
-    alive: AtomicBool,
+/// Replica indices in dispatch order: ascending load, ties to the lowest
+/// index. `loads[i]` is replica `i`'s outstanding-request count.
+fn least_loaded_first(loads: &[usize]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..loads.len()).collect();
+    order.sort_by_key(|&i| (loads[i], i));
+    order
 }
 
-impl Replica {
-    /// Slot index, stable across generations (replica 0 of generation 2
-    /// replaces replica 0 of generation 1).
-    pub fn id(&self) -> usize {
-        self.id
-    }
-
-    /// The replica's engine (tests use this for the pause gate).
-    pub fn engine(&self) -> &Arc<BatchEngine> {
-        &self.engine
-    }
-
-    /// Whether the replica is routable (not killed).
-    pub fn is_alive(&self) -> bool {
-        self.alive.load(Ordering::SeqCst)
-    }
-
-    fn outstanding(&self) -> usize {
-        self.engine.in_flight()
-    }
-}
-
-/// One immutable set of replicas serving one model version.
-struct Generation {
-    version: u64,
-    replicas: Vec<Arc<Replica>>,
-    router: Router,
-}
-
-impl Generation {
-    fn build(version: u64, model: &Arc<dyn ImageModel>, config: &PoolConfig) -> Result<Self> {
-        let mut replicas = Vec::with_capacity(config.replicas);
-        for id in 0..config.replicas {
-            let engine = BatchEngine::new(Arc::clone(model), config.engine.clone())?;
-            replicas.push(Arc::new(Replica {
-                id,
-                engine: Arc::new(engine),
-                alive: AtomicBool::new(true),
-            }));
-        }
-        Ok(Generation {
-            version,
-            replicas,
-            router: Router::new(config.policy, config.replicas),
-        })
-    }
-
-    fn in_flight(&self) -> usize {
-        self.replicas.iter().map(|r| r.outstanding()).sum()
-    }
-}
-
-/// Outcome of a completed [`ReplicaPool::rollout`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RolloutReport {
-    /// Generation that was serving before the swap.
-    pub from_version: u64,
-    /// Generation now serving.
-    pub to_version: u64,
-    /// Requests that were in flight on the old generation when its drain
-    /// gate closed — every one of them was answered before this report
-    /// was produced.
-    pub drained: usize,
-}
-
-/// A routed fleet of [`BatchEngine`] replicas with hot-swap rollout.
+/// A least-depth fleet of [`BatchEngine`] replicas serving one model.
 pub struct ReplicaPool {
     config: PoolConfig,
-    /// IBSC architecture fingerprint of the serving model; rollouts must
-    /// match it.
-    fingerprint: u64,
-    /// The generation receiving traffic. Critical sections only clone or
-    /// swap the `Arc` — never hold the lock across a drain or forward.
-    active: Mutex<Arc<Generation>>,
-    next_version: AtomicU64,
-    /// Serializes rollouts (the swap itself is atomic; the build + drain
-    /// around it is not).
-    rollout_lock: Mutex<()>,
+    /// Replica `i` is `engines[i]`.
+    engines: Vec<Arc<BatchEngine>>,
 }
 
 impl ReplicaPool {
-    /// Builds generation 1 of the fleet around `model`.
+    /// Spawns `config.replicas` engines around `model`.
     ///
     /// # Errors
     ///
@@ -187,69 +108,31 @@ impl ReplicaPool {
     /// engine spawn failures.
     pub fn new(model: Arc<dyn ImageModel>, config: PoolConfig) -> Result<Self> {
         config.validate()?;
-        let fingerprint = architecture_fingerprint(model.as_ref());
-        let generation = Generation::build(1, &model, &config)?;
-        let pool = ReplicaPool {
-            config,
-            fingerprint,
-            active: Mutex::new(Arc::new(generation)),
-            next_version: AtomicU64::new(1),
-            rollout_lock: Mutex::new(()),
-        };
-        pool.publish_fleet_gauges();
-        Ok(pool)
+        let engines = (0..config.replicas)
+            .map(|_| BatchEngine::new(Arc::clone(&model), config.engine.clone()).map(Arc::new))
+            .collect::<Result<Vec<_>>>()?;
+        Ok(ReplicaPool { config, engines })
     }
 
-    /// The pool's configuration.
-    pub fn config(&self) -> &PoolConfig {
-        &self.config
-    }
-
-    /// IBSC architecture fingerprint every served generation must match.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
-    /// Version of the generation currently receiving traffic.
-    pub fn version(&self) -> u64 {
-        self.active.lock().version
-    }
-
-    /// The model served by the active generation.
-    pub fn model(&self) -> Arc<dyn ImageModel> {
-        let gen = self.active.lock();
-        Arc::clone(gen.replicas[0].engine.model())
-    }
-
-    /// Replicas of the active generation (tests use the engines' pause
-    /// gates through this).
-    pub fn replicas(&self) -> Vec<Arc<Replica>> {
-        self.active.lock().replicas.clone()
-    }
-
-    /// Live (routable) replica count in the active generation.
-    pub fn alive(&self) -> usize {
-        self.active
-            .lock()
-            .replicas
-            .iter()
-            .filter(|r| r.is_alive())
-            .count()
-    }
-
-    /// Fleet-wide accepted-but-unanswered request count.
-    pub fn in_flight(&self) -> usize {
-        self.active.lock().in_flight()
+    /// The replica engines, indexed by replica id (tests use their pause
+    /// gates).
+    pub fn engines(&self) -> &[Arc<BatchEngine>] {
+        &self.engines
     }
 
     /// Fleet-wide queued (not yet batched) request count.
     pub fn queue_depth(&self) -> usize {
-        self.active
-            .lock()
-            .replicas
+        self.engines.iter().map(|e| e.queue_depth()).sum()
+    }
+
+    /// Each replica's live `(queue depth, in flight)` counts, by replica
+    /// id — what the `serve.replica.r<N>.*` gauges publish when metrics
+    /// are read.
+    pub fn replica_loads(&self) -> Vec<(usize, usize)> {
+        self.engines
             .iter()
-            .map(|r| r.engine.queue_depth())
-            .sum()
+            .map(|e| (e.queue_depth(), e.in_flight()))
+            .collect()
     }
 
     /// Routes one `[c, h, w]` image to a replica; see
@@ -257,9 +140,8 @@ impl ReplicaPool {
     ///
     /// # Errors
     ///
-    /// [`ServeError::QueueFull`] when the fleet cap or every live
-    /// candidate rejects, [`ServeError::Shutdown`] when no live replica
-    /// exists, plus the per-engine submit errors.
+    /// [`ServeError::QueueFull`] when the fleet cap or every replica
+    /// rejects, plus the per-engine submit errors.
     pub fn submit(
         &self,
         image: ibrar_tensor::Tensor,
@@ -268,8 +150,7 @@ impl ReplicaPool {
         self.submit_traced(image, budget, None)
     }
 
-    /// [`ReplicaPool::submit`] carrying the request [`TraceId`] — also the
-    /// routing key under [`DispatchPolicy::ConsistentHash`].
+    /// [`ReplicaPool::submit`] carrying the request [`TraceId`].
     ///
     /// # Errors
     ///
@@ -280,166 +161,48 @@ impl ReplicaPool {
         budget: Option<Duration>,
         trace: Option<TraceId>,
     ) -> Result<PendingResponse> {
-        // Snapshot the active generation once: a rollout mid-submit either
-        // sees this request on the old generation (drained, answered) or
-        // the request lands entirely on the new one. Never half-and-half.
-        let gen = Arc::clone(&self.active.lock());
-
+        let loads: Vec<usize> = self.engines.iter().map(|e| e.in_flight()).collect();
         if let Some(cap) = self.config.max_in_flight {
-            if gen.in_flight() >= cap {
+            if loads.iter().sum::<usize>() >= cap {
                 tel::counter("serve.pool.shed", 1);
                 return Err(ServeError::QueueFull);
             }
         }
 
-        let loads: Vec<usize> = gen.replicas.iter().map(|r| r.outstanding()).collect();
-        let order = gen.router.candidates(&loads, trace.as_ref());
-        let failover = gen.router.policy() == DispatchPolicy::LeastQueueDepth;
-
-        let live: Vec<usize> = order
-            .into_iter()
-            .filter(|&i| gen.replicas[i].is_alive())
-            .collect();
-        if live.is_empty() {
-            tel::counter("serve.pool.no_replicas", 1);
-            return Err(ServeError::Shutdown);
-        }
-
+        let order = least_loaded_first(&loads);
         let mut image = Some(image);
-        let mut last_err = ServeError::Shutdown;
-        for (attempt, &idx) in live.iter().enumerate() {
-            let replica = &gen.replicas[idx];
+        for (attempt, &id) in order.iter().enumerate() {
             // Failover needs the tensor back on rejection, but submit
             // consumes it — clone only when another candidate remains.
-            let payload = if failover && attempt + 1 < live.len() {
-                image.clone().expect("payload present until consumed")
+            let payload = if attempt + 1 < order.len() {
+                image.clone()
             } else {
-                image.take().expect("payload present until consumed")
-            };
-            match replica.engine.submit_traced(payload, budget, trace) {
+                image.take()
+            }
+            .expect("payload present until consumed");
+            match self.engines[id].submit_traced(payload, budget, trace) {
                 Ok(pending) => {
-                    tel::counter(&format!("serve.pool.dispatch.r{}", replica.id()), 1);
+                    tel::counter(&format!("serve.pool.dispatch.r{id}"), 1);
                     if attempt > 0 {
                         tel::counter("serve.pool.failover", 1);
                     }
-                    tel::gauge(
-                        &format!("serve.replica.r{}.queue_depth", replica.id()),
-                        replica.engine.queue_depth() as f64,
-                    );
-                    tel::gauge(
-                        &format!("serve.replica.r{}.in_flight", replica.id()),
-                        replica.outstanding() as f64,
-                    );
                     return Ok(pending);
                 }
-                // Transient, replica-local: another candidate may accept.
-                Err(e @ (ServeError::QueueFull | ServeError::Draining | ServeError::Shutdown)) => {
-                    last_err = e;
-                    if !failover {
-                        break; // hash affinity: shed, don't migrate the key
-                    }
-                }
-                // Request-shaped errors fail everywhere; return directly.
+                // Replica-local backpressure: the next candidate may accept.
+                Err(ServeError::QueueFull) => {}
+                // Request-shaped errors and shutdown fail everywhere.
                 Err(e) => return Err(e),
             }
         }
-        if matches!(last_err, ServeError::QueueFull) {
-            tel::counter("serve.pool.shed", 1);
-        }
-        Err(last_err)
+        tel::counter("serve.pool.shed", 1);
+        Err(ServeError::QueueFull)
     }
 
-    /// Hot-swaps the fleet onto `model` with zero dropped in-flight
-    /// requests: build the new generation, swap it in atomically, then
-    /// drain and shut down the old one. Concurrent rollouts serialize.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::Checkpoint`] when `model`'s architecture
-    /// fingerprint does not match the serving fleet (nothing is built or
-    /// swapped), and propagates engine spawn failures (the old generation
-    /// keeps serving).
-    pub fn rollout(&self, model: Arc<dyn ImageModel>) -> Result<RolloutReport> {
-        let _serialized = self.rollout_lock.lock();
-        let fp = architecture_fingerprint(model.as_ref());
-        if fp != self.fingerprint {
-            tel::counter("serve.pool.rollout_rejected", 1);
-            return Err(ServeError::Checkpoint(format!(
-                "rollout fingerprint {fp:016x} ({}) does not match serving fleet {:016x}; \
-                 hot-swap requires an identical architecture",
-                model.name(),
-                self.fingerprint,
-            )));
-        }
-
-        let version = self.next_version.fetch_add(1, Ordering::SeqCst) + 1;
-        let incoming = Arc::new(Generation::build(version, &model, &self.config)?);
-
-        // Swap first: from this instant new submissions route to the new
-        // generation, so the old one's in-flight set can only shrink.
-        let outgoing = {
-            let mut active = self.active.lock();
-            std::mem::replace(&mut *active, incoming)
-        };
-        tel::counter("serve.pool.swap", 1);
-        tel::gauge("serve.pool.generation", version as f64);
-
-        let mut drained = 0;
-        for replica in &outgoing.replicas {
-            drained += replica.engine.drain();
-            replica.engine.shutdown();
-        }
-        tel::counter("serve.pool.rollout_drained", drained as u64);
-        self.publish_fleet_gauges();
-
-        Ok(RolloutReport {
-            from_version: outgoing.version,
-            to_version: version,
-            drained,
-        })
-    }
-
-    /// Fault injection: marks replica `id` dead and shuts its engine down.
-    /// Queued requests on the victim fail with typed
-    /// [`ServeError::Shutdown`]; routing skips it from now on. Returns
-    /// `false` for an unknown id.
-    pub fn kill_replica(&self, id: usize) -> bool {
-        let gen = Arc::clone(&self.active.lock());
-        let Some(replica) = gen.replicas.iter().find(|r| r.id() == id) else {
-            return false;
-        };
-        replica.alive.store(false, Ordering::SeqCst);
-        replica.engine.shutdown();
-        tel::counter("serve.pool.replica_killed", 1);
-        self.publish_fleet_gauges();
-        true
-    }
-
-    /// Stops every replica of the active generation, failing queued
-    /// requests with [`ServeError::Shutdown`]. Idempotent.
+    /// Stops every replica, failing queued requests with
+    /// [`ServeError::Shutdown`]. Idempotent.
     pub fn shutdown(&self) {
-        let gen = Arc::clone(&self.active.lock());
-        for replica in &gen.replicas {
-            replica.engine.shutdown();
-        }
-    }
-
-    fn publish_fleet_gauges(&self) {
-        let gen = self.active.lock();
-        tel::gauge("serve.pool.generation", gen.version as f64);
-        tel::gauge(
-            "serve.pool.replicas_alive",
-            gen.replicas.iter().filter(|r| r.is_alive()).count() as f64,
-        );
-        for replica in &gen.replicas {
-            tel::gauge(
-                &format!("serve.replica.r{}.queue_depth", replica.id()),
-                replica.engine.queue_depth() as f64,
-            );
-            tel::gauge(
-                &format!("serve.replica.r{}.in_flight", replica.id()),
-                replica.outstanding() as f64,
-            );
+        for engine in &self.engines {
+            engine.shutdown();
         }
     }
 }
@@ -455,8 +218,17 @@ impl std::fmt::Debug for ReplicaPool {
         f.debug_struct("ReplicaPool")
             .field("replicas", &self.config.replicas)
             .field("policy", &self.config.policy)
-            .field("version", &self.version())
-            .field("fingerprint", &format_args!("{:016x}", self.fingerprint))
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn least_depth_orders_by_load_with_low_id_ties() {
+        assert_eq!(least_loaded_first(&[3, 0, 2, 0]), vec![1, 3, 2, 0]);
+        assert_eq!(least_loaded_first(&[0, 0, 0, 0]), vec![0, 1, 2, 3]);
     }
 }

@@ -1,15 +1,17 @@
 //! Length-prefixed binary protocol over TCP.
 //!
-//! Every message — request or response — is one frame:
+//! Every message — request or response — is one frame, sent in one write
+//! ([`write_frame`]):
 //!
 //! ```text
 //! u32 le body length | body
 //! ```
 //!
-//! A request body is `u8 opcode` followed by opcode-specific fields; a
-//! response body is `u8 status` followed by status-specific fields (an
-//! error message for non-OK statuses). Tensors travel in the workspace
-//! `IBT1` encoding ([`ibrar_tensor::Tensor::encode`]); strings are
+//! A request body is `u8 opcode` ([`Opcode`]: ping, two classify forms,
+//! robustness probe, health, metrics) followed by opcode-specific fields;
+//! a response body is `u8 status` ([`Status`]) followed by status-specific
+//! fields (an error message for non-OK statuses). Tensors travel in the
+//! workspace `IBT1` encoding ([`ibrar_tensor::Tensor::encode`]); strings are
 //! `u32 le length + utf8`. The protocol is strictly request/response per
 //! connection — no pipelining — which keeps the blocking client trivial.
 //!
@@ -69,11 +71,6 @@ pub enum Opcode {
     /// Observability scrape: Prometheus text, JSON snapshot, or a flight-
     /// recorder dump, selected by a format byte.
     Metrics = 5,
-    /// Admin: hot-swap a model onto a new checkpoint. The old replica
-    /// generation drains (every accepted request is answered) while the
-    /// new one serves; responds with the new version and the exact count
-    /// of requests drained.
-    Rollout = 6,
 }
 
 impl Opcode {
@@ -85,7 +82,6 @@ impl Opcode {
             3 => Ok(Opcode::RobustnessProbe),
             4 => Ok(Opcode::Health),
             5 => Ok(Opcode::Metrics),
-            6 => Ok(Opcode::Rollout),
             other => Err(ServeError::Unsupported(format!("unknown opcode {other}"))),
         }
     }
@@ -136,10 +132,6 @@ pub enum Status {
     /// The opcode (or a sub-selector like the metrics format) is not
     /// supported by this server. The connection stays open.
     UnsupportedOpcode = 6,
-    /// Typed transient rejection: the target engine is draining for a
-    /// rollout. Retry; the fleet (or its successor generation) will
-    /// accept.
-    Draining = 7,
 }
 
 impl Status {
@@ -152,7 +144,6 @@ impl Status {
             4 => Ok(Status::BadRequest),
             5 => Ok(Status::Internal),
             6 => Ok(Status::UnsupportedOpcode),
-            7 => Ok(Status::Draining),
             other => Err(ServeError::Protocol(format!("unknown status {other}"))),
         }
     }
@@ -163,7 +154,6 @@ pub fn status_for(err: &ServeError) -> Status {
     match err {
         ServeError::QueueFull => Status::QueueFull,
         ServeError::DeadlineExceeded => Status::DeadlineExceeded,
-        ServeError::Draining => Status::Draining,
         ServeError::UnknownModel(_) => Status::UnknownModel,
         ServeError::Unsupported(_) => Status::UnsupportedOpcode,
         ServeError::Protocol(_) | ServeError::InvalidInput(_) | ServeError::Tensor(_) => {
@@ -183,7 +173,6 @@ pub fn error_for(status: Status, message: String) -> ServeError {
         Status::BadRequest => ServeError::InvalidInput(message),
         Status::Internal => ServeError::Io(message),
         Status::UnsupportedOpcode => ServeError::Unsupported(message),
-        Status::Draining => ServeError::Draining,
     }
 }
 
@@ -299,14 +288,6 @@ pub enum Request {
         /// Which payload to return.
         format: MetricsFormat,
     },
-    /// Admin: hot-swap `model` onto the checkpoint at `checkpoint` (a
-    /// server-local path). Architecture-fingerprint-checked server-side.
-    Rollout {
-        /// Registry name of the target model.
-        model: String,
-        /// Server-local path of the replacement checkpoint.
-        checkpoint: String,
-    },
 }
 
 /// A decoded response.
@@ -334,14 +315,6 @@ pub enum Response {
     },
     /// Metrics success: the payload text in the requested format.
     Metrics(String),
-    /// Rollout success.
-    RolledOut {
-        /// Checkpoint generation now serving (registry version).
-        version: u64,
-        /// Exact count of old-generation in-flight requests that were
-        /// answered (not dropped) during the drain.
-        drained: u64,
-    },
     /// Any non-OK status with its human-readable message.
     Error(Status, String),
 }
@@ -384,7 +357,6 @@ pub fn opcode_for(req: &Request) -> Opcode {
         Request::RobustnessProbe { .. } => Opcode::RobustnessProbe,
         Request::Health => Opcode::Health,
         Request::Metrics { .. } => Opcode::Metrics,
-        Request::Rollout { .. } => Opcode::Rollout,
     }
 }
 
@@ -435,10 +407,6 @@ pub fn encode_request_traced(req: &Request, trace: Option<&TraceId>) -> Bytes {
             buf.put_slice(&image.encode());
         }
         Request::Metrics { format } => buf.put_u8(*format as u8),
-        Request::Rollout { model, checkpoint } => {
-            put_str(&mut buf, model);
-            put_str(&mut buf, checkpoint);
-        }
     }
     buf.freeze()
 }
@@ -529,11 +497,6 @@ pub fn decode_request_traced(mut body: Bytes) -> Result<(Request, Option<TraceId
                 format: MetricsFormat::from_u8(body.get_u8())?,
             }
         }
-        Opcode::Rollout => {
-            let model = get_str(&mut body, "model name")?;
-            let checkpoint = get_str(&mut body, "checkpoint path")?;
-            Request::Rollout { model, checkpoint }
-        }
     };
     if body.has_remaining() {
         return Err(ServeError::Protocol(format!(
@@ -583,11 +546,6 @@ pub fn encode_response(resp: &Response) -> Bytes {
         Response::Metrics(payload) => {
             buf.put_u8(Status::Ok as u8);
             put_str(&mut buf, payload);
-        }
-        Response::RolledOut { version, drained } => {
-            buf.put_u8(Status::Ok as u8);
-            buf.put_u64_le(*version);
-            buf.put_u64_le(*drained);
         }
         Response::Error(status, message) => {
             buf.put_u8(*status as u8);
@@ -658,15 +616,6 @@ pub fn decode_response(op: Opcode, mut body: Bytes) -> Result<Response> {
             }
         }
         Opcode::Metrics => Response::Metrics(get_str(&mut body, "metrics payload")?),
-        Opcode::Rollout => {
-            if body.remaining() < 16 {
-                return Err(ServeError::Protocol("truncated rollout ack".into()));
-            }
-            Response::RolledOut {
-                version: body.get_u64_le(),
-                drained: body.get_u64_le(),
-            }
-        }
     };
     if body.has_remaining() {
         return Err(ServeError::Protocol(format!(
@@ -677,7 +626,10 @@ pub fn decode_response(op: Opcode, mut body: Bytes) -> Result<Response> {
     Ok(resp)
 }
 
-/// Writes one length-prefixed frame.
+/// Writes one length-prefixed frame with a single `write_all`: a reply
+/// split into prefix and body writes would leave the body behind Nagle's
+/// algorithm until the peer acknowledged the prefix, which a peer waiting
+/// for the whole reply delays.
 ///
 /// # Errors
 ///
@@ -690,8 +642,10 @@ pub fn write_frame(w: &mut impl Write, body: &[u8]) -> Result<()> {
             body.len()
         )));
     }
-    w.write_all(&(body.len() as u32).to_le_bytes())?;
-    w.write_all(body)?;
+    let mut frame = Vec::with_capacity(4 + body.len());
+    frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
+    frame.extend_from_slice(body);
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
 }
@@ -761,10 +715,6 @@ mod tests {
             },
             Request::Metrics {
                 format: MetricsFormat::Flight,
-            },
-            Request::Rollout {
-                model: "vgg".into(),
-                checkpoint: "/tmp/vgg-v2.ibsc".into(),
             },
         ];
         for req in reqs {
@@ -857,20 +807,6 @@ mod tests {
                 Opcode::Metrics,
                 Response::Error(Status::UnsupportedOpcode, "unknown opcode 99".into()),
             ),
-            (
-                Opcode::Rollout,
-                Response::RolledOut {
-                    version: 2,
-                    drained: 17,
-                },
-            ),
-            (
-                Opcode::Classify,
-                Response::Error(
-                    Status::Draining,
-                    "engine draining for rollout; retry".into(),
-                ),
-            ),
         ];
         for (op, resp) in cases {
             let back = decode_response(op, encode_response(&resp)).unwrap();
@@ -916,6 +852,35 @@ mod tests {
         ));
     }
 
+    /// A `Write` that accepts everything and counts `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_frame_makes_one_write_per_frame() {
+        let mut w = CountingWriter::default();
+        write_frame(&mut w, b"hello").unwrap();
+        assert_eq!(w.writes, 1, "prefix and body must leave in one write");
+        write_frame(&mut w, b"").unwrap();
+        assert_eq!(w.writes, 2);
+        assert_eq!(w.bytes, b"\x05\0\0\0hello\0\0\0\0");
+    }
+
     #[test]
     fn frames_roundtrip_over_a_buffer() {
         let mut wire = Vec::new();
@@ -941,11 +906,6 @@ mod tests {
         assert_eq!(
             status_for(&ServeError::DeadlineExceeded),
             Status::DeadlineExceeded
-        );
-        assert_eq!(status_for(&ServeError::Draining), Status::Draining);
-        assert_eq!(
-            error_for(Status::Draining, String::new()),
-            ServeError::Draining
         );
     }
 }

@@ -34,10 +34,6 @@ struct Entry {
     path: PathBuf,
     load: Arc<ModelLoader>,
     cached: Option<Arc<dyn ImageModel>>,
-    /// Checkpoint generation: 1 at registration, +1 per successful
-    /// [`ModelRegistry::retarget`]. Monotonic for the life of the entry so
-    /// rollout acks can be ordered.
-    version: u64,
 }
 
 /// Thread-safe map from model name to lazily-loaded checkpointed model.
@@ -80,57 +76,8 @@ impl ModelRegistry {
                 path: path.into(),
                 load: Arc::new(loader),
                 cached: None,
-                version: 1,
             },
         );
-    }
-
-    /// The checkpoint generation for `name` (1 until the first retarget),
-    /// or `None` for unregistered names.
-    pub fn version(&self, name: &str) -> Option<u64> {
-        self.entries.lock().get(name).map(|e| e.version)
-    }
-
-    /// Points `name` at a new checkpoint and returns the bumped version
-    /// plus the freshly-loaded model — the registry half of a hot swap.
-    ///
-    /// The new checkpoint is loaded through the entry's existing loader
-    /// *before* anything is installed: a malformed or missing file leaves
-    /// the entry (path, cache, version) untouched and still serving the
-    /// old weights.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::UnknownModel`] for unregistered names and
-    /// propagates loader failures without mutating the entry.
-    pub fn retarget(
-        &self,
-        name: &str,
-        path: impl Into<PathBuf>,
-    ) -> Result<(u64, Arc<dyn ImageModel>)> {
-        let path = path.into();
-        let load = {
-            let entries = self.entries.lock();
-            let entry = entries
-                .get(name)
-                .ok_or_else(|| ServeError::UnknownModel(name.to_string()))?;
-            Arc::clone(&entry.load)
-        };
-
-        // Validate-by-loading outside the lock, same as `get`.
-        let _s = tel::span!("serve.registry.load");
-        tel::counter("serve.registry.load", 1);
-        let model: Arc<dyn ImageModel> = load(&path)?;
-
-        let mut entries = self.entries.lock();
-        let entry = entries
-            .get_mut(name)
-            .ok_or_else(|| ServeError::UnknownModel(name.to_string()))?;
-        entry.path = path;
-        entry.cached = Some(Arc::clone(&model));
-        entry.version += 1;
-        tel::counter("serve.registry.retarget", 1);
-        Ok((entry.version, model))
     }
 
     /// Registered model names, sorted.
@@ -146,18 +93,6 @@ impl ModelRegistry {
             .lock()
             .get(name)
             .is_some_and(|e| e.cached.is_some())
-    }
-
-    /// Drops the cached model for `name` (the next `get` reloads from disk).
-    /// Returns `false` when the name is unknown.
-    pub fn evict(&self, name: &str) -> bool {
-        match self.entries.lock().get_mut(name) {
-            Some(e) => {
-                e.cached = None;
-                true
-            }
-            None => false,
-        }
     }
 
     /// Returns the model for `name`, loading its checkpoint on first use.

@@ -6,9 +6,7 @@
 //! connection counts are small, and every request does real tensor work
 //! anyway. Inference requests funnel into a per-model [`ReplicaPool`] of
 //! [`BatchEngine`] replicas (created lazily on a model's first request),
-//! so concurrent connections are what *feeds* the micro-batchers; the
-//! `Rollout` admin opcode hot-swaps a pool onto a new checkpoint with the
-//! old generation draining to zero dropped requests.
+//! so concurrent connections are what *feeds* the micro-batchers.
 //!
 //! Shutdown is cooperative and complete: the accept loop is woken by a
 //! self-connection, open connection sockets are shut down so blocked reads
@@ -17,11 +15,12 @@
 //!
 //! The same port also answers the admin opcodes: `Health` (uptime, engine
 //! count, aggregate queue depth) and `Metrics` (Prometheus text, JSON
-//! snapshot, or the flight-recorder dump) — no second listener, no extra
-//! dependency, and the `ibrar-top` dashboard polls them over the ordinary
-//! client. Every request gets a [`TraceId`] (client-minted on v2 frames,
-//! server-minted otherwise) and a completed [`FlightRecord`] in the bounded
-//! [`FlightRecorder`].
+//! snapshot, or the flight-recorder dump; the per-replica
+//! `serve.replica.r<N>.*` gauges are refreshed from live counts first) — no
+//! second listener, no extra dependency, and the `ibrar-top` dashboard
+//! polls them over the ordinary client. Every request gets a [`TraceId`]
+//! (client-minted on v2 frames, server-minted otherwise) and a completed
+//! [`FlightRecord`] in the bounded [`FlightRecorder`].
 
 use crate::engine::{argmax, BatchEngine, Classification, EngineConfig, StageTimings};
 use crate::flight::{FlightRecord, FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
@@ -32,7 +31,6 @@ use crate::protocol::{
     Response, Status,
 };
 use crate::registry::ModelRegistry;
-use crate::router::DispatchPolicy;
 use crate::trace::TraceId;
 use crate::{Result, ServeError};
 use ibrar_attacks::{Attack, Fgsm, Pgd};
@@ -54,11 +52,6 @@ pub struct ServerConfig {
     pub engine: EngineConfig,
     /// Replicas per model pool (each with its own queue and workers).
     pub replicas: usize,
-    /// Fleet dispatch policy; see [`DispatchPolicy`].
-    pub policy: DispatchPolicy,
-    /// Fleet-wide in-flight admission cap per pool; `None` leaves the
-    /// per-replica queue bounds as the only backpressure.
-    pub max_in_flight: Option<usize>,
     /// Capacity of each flight-recorder ring (recent and SLO breaches).
     /// Zero disables retention (the rings only count drops).
     pub flight_capacity: usize,
@@ -73,8 +66,6 @@ impl Default for ServerConfig {
         ServerConfig {
             engine: EngineConfig::default(),
             replicas: 1,
-            policy: DispatchPolicy::LeastQueueDepth,
-            max_in_flight: None,
             flight_capacity: DEFAULT_FLIGHT_CAPACITY,
             slo_ms: None,
         }
@@ -149,8 +140,7 @@ impl Server {
     /// queue metrics; with the default single-replica config this *is* the
     /// model's engine.
     pub fn engine(&self, model: &str) -> Option<Arc<BatchEngine>> {
-        self.pool(model)
-            .and_then(|p| p.replicas().first().map(|r| Arc::clone(r.engine())))
+        self.pool(model).map(|p| Arc::clone(&p.engines()[0]))
     }
 
     /// The replica pool serving `model`, if one has been created yet.
@@ -364,11 +354,11 @@ fn handle(
             Ok(Response::Probed(report))
         }
         Request::Health => {
-            // `engines` reports live replica engines across every pool, so
-            // the single-replica default still reads 1 per loaded model.
+            // `engines` reports replica engines across every pool, so the
+            // single-replica default reads 1 per loaded model.
             let pools: Vec<Arc<ReplicaPool>> = shared.pools.lock().values().cloned().collect();
             let queue_depth: u64 = pools.iter().map(|p| p.queue_depth() as u64).sum();
-            let count: u32 = pools.iter().map(|p| p.alive() as u32).sum();
+            let count: u32 = pools.iter().map(|p| p.engines().len() as u32).sum();
             Ok(Response::Healthy {
                 uptime_ms: shared.started.elapsed().as_millis() as u64,
                 engines: count,
@@ -376,6 +366,7 @@ fn handle(
             })
         }
         Request::Metrics { format } => {
+            publish_replica_gauges(shared);
             let payload = match format {
                 MetricsFormat::Prometheus => tel::snapshot().prometheus_text(),
                 MetricsFormat::Json => tel::snapshot().to_json(),
@@ -383,32 +374,26 @@ fn handle(
             };
             Ok(Response::Metrics(payload))
         }
-        Request::Rollout { model, checkpoint } => {
-            meta.model = model.clone();
-            // Load-validate the new checkpoint and bump the registry first:
-            // a bad path or corrupt file fails typed here, before any
-            // replica is touched, and the old generation keeps serving.
-            let (version, new_model) = shared.registry.retarget(&model, &checkpoint)?;
-            let pool = shared.pools.lock().get(&model).cloned();
-            let drained = match pool {
-                // Swap-then-drain; the report proves zero dropped requests.
-                Some(pool) => pool.rollout(new_model)?.drained as u64,
-                // No traffic yet: the retargeted registry alone suffices —
-                // the pool lazily built by the first request serves the
-                // new checkpoint.
-                None => 0,
-            };
-            tel::event(
-                tel::Level::Info,
-                "serve.rollout",
-                &[
-                    ("model", model.into()),
-                    ("version", (version as f64).into()),
-                    ("drained", (drained as f64).into()),
-                ],
-            );
-            Ok(Response::RolledOut { version, drained })
+    }
+}
+
+/// Sets the `serve.replica.r<N>.{queue_depth,in_flight}` gauges from the
+/// engines' live counts, summed over every model's pool (as the
+/// `serve.pool.dispatch.r<N>` counters are), so a scrape never reads a
+/// stale busy fleet.
+fn publish_replica_gauges(shared: &Shared) {
+    let mut totals: Vec<(usize, usize)> = Vec::new();
+    for pool in shared.pools.lock().values() {
+        let loads = pool.replica_loads();
+        totals.resize(totals.len().max(loads.len()), (0, 0));
+        for (total, (queued, in_flight)) in totals.iter_mut().zip(loads) {
+            total.0 += queued;
+            total.1 += in_flight;
         }
+    }
+    for (id, (queued, in_flight)) in totals.into_iter().enumerate() {
+        tel::gauge(&format!("serve.replica.r{id}.queue_depth"), queued as f64);
+        tel::gauge(&format!("serve.replica.r{id}.in_flight"), in_flight as f64);
     }
 }
 
@@ -434,8 +419,7 @@ fn pool_for(shared: &Shared, name: &str) -> Result<Arc<ReplicaPool>> {
         PoolConfig {
             replicas: shared.config.replicas,
             engine: shared.config.engine.clone(),
-            policy: shared.config.policy,
-            max_in_flight: shared.config.max_in_flight,
+            ..PoolConfig::default()
         },
     )?);
     pools.insert(name.to_string(), Arc::clone(&pool));

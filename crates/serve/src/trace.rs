@@ -19,7 +19,7 @@ use std::time::{SystemTime, UNIX_EPOCH};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TraceId([u8; 16]);
 
-pub(crate) fn splitmix64(x: u64) -> u64 {
+fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -57,15 +57,6 @@ impl TraceId {
     /// The raw bytes (the wire encoder).
     pub fn as_bytes(&self) -> &[u8; 16] {
         &self.0
-    }
-
-    /// Folds the id into a 64-bit routing key for consistent-hash
-    /// dispatch. Deterministic in the id bytes alone, so the same trace id
-    /// maps to the same ring point on every router in the fleet.
-    pub fn routing_key(&self) -> u64 {
-        let hi = u64::from_le_bytes(self.0[..8].try_into().expect("8-byte slice"));
-        let lo = u64::from_le_bytes(self.0[8..].try_into().expect("8-byte slice"));
-        splitmix64(hi ^ splitmix64(lo))
     }
 
     /// Parses the 32-hex-digit rendering.
@@ -120,18 +111,5 @@ mod tests {
     fn bytes_round_trip() {
         let id = TraceId::generate();
         assert_eq!(TraceId::from_bytes(*id.as_bytes()), id);
-    }
-
-    #[test]
-    fn routing_key_is_a_pure_function_of_the_bytes() {
-        let id = TraceId::generate();
-        let copy = TraceId::from_bytes(*id.as_bytes());
-        assert_eq!(id.routing_key(), copy.routing_key());
-        // Distinct ids should (overwhelmingly) land on distinct keys.
-        let mut keys = std::collections::HashSet::new();
-        for _ in 0..1000 {
-            keys.insert(TraceId::generate().routing_key());
-        }
-        assert_eq!(keys.len(), 1000);
     }
 }

@@ -1,11 +1,15 @@
 //! Fleet dispatch must be invisible in the bits: the same request batch
-//! routed through 1/2/4 replicas, under either dispatch policy and either
-//! kernel thread count, yields `to_bits`-identical logits to a
-//! single-engine forward on the caller's thread. A replica is a placement
-//! decision, never a numerical one.
+//! routed through 1/2/4 replicas, at either kernel thread count, yields
+//! `to_bits`-identical logits to a single-engine forward on the caller's
+//! thread. A replica is a placement decision, never a numerical one.
+//!
+//! The placement itself is pinned too, deterministically via the engine
+//! pause gates (no sleep-based synchronization): least-depth dispatch
+//! spreads captive load evenly, and the fleet-wide in-flight cap sheds
+//! with a typed `QueueFull` before any replica queue fills.
 
 use ibrar_nn::{ImageModel, Mode, Session, VggConfig, VggMini};
-use ibrar_serve::{DispatchPolicy, EngineConfig, PoolConfig, ReplicaPool, TraceId};
+use ibrar_serve::{EngineConfig, PoolConfig, ReplicaPool, ServeError, TraceId};
 use ibrar_tensor::{parallel, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -25,8 +29,7 @@ fn image(i: usize) -> Tensor {
     })
 }
 
-/// Deterministic per-image trace id — under consistent hash this is also
-/// the routing key, so the dispatch pattern is reproducible run to run.
+/// Deterministic per-image trace id.
 fn trace(i: usize) -> TraceId {
     let mut bytes = [0u8; 16];
     bytes[..8].copy_from_slice(&(0x5EED_0000u64 + i as u64).to_le_bytes());
@@ -66,81 +69,90 @@ fn fleet_logits_are_bitwise_identical_to_single_engine_forward() {
     for &threads in &[1usize, 4] {
         let _guard = parallel::with_threads(threads);
         for &replicas in &[1usize, 2, 4] {
-            for policy in [
-                DispatchPolicy::LeastQueueDepth,
-                DispatchPolicy::ConsistentHash,
-            ] {
-                let pool = ReplicaPool::new(
-                    Arc::clone(&model),
-                    PoolConfig {
-                        replicas,
-                        engine: EngineConfig {
-                            max_batch: 4,
-                            max_wait: Duration::from_millis(5),
-                            queue_capacity: 64,
-                            workers: 2,
-                        },
-                        policy,
-                        max_in_flight: None,
+            let pool = ReplicaPool::new(
+                Arc::clone(&model),
+                PoolConfig {
+                    replicas,
+                    engine: EngineConfig {
+                        max_batch: 4,
+                        max_wait: Duration::from_millis(5),
+                        queue_capacity: 64,
+                        workers: 2,
                     },
-                )
-                .unwrap();
+                    ..PoolConfig::default()
+                },
+            )
+            .unwrap();
 
-                // Submit the whole wave before waiting so requests really
-                // spread across replicas and coalesce into batches.
-                let pending: Vec<_> = (0..IMAGES)
-                    .map(|i| pool.submit_traced(image(i), None, Some(trace(i))).unwrap())
-                    .collect();
-                for (i, p) in pending.into_iter().enumerate() {
-                    let row = p.wait().unwrap();
-                    let got: Vec<u32> = row.data().iter().map(|v| v.to_bits()).collect();
-                    assert_eq!(
-                        got, reference[i],
-                        "bits diverged: image {i}, replicas={replicas}, \
-                         policy={policy}, threads={threads}"
-                    );
-                }
-                pool.shutdown();
+            // Submit the whole wave before waiting so requests really
+            // spread across replicas and coalesce into batches.
+            let pending: Vec<_> = (0..IMAGES)
+                .map(|i| pool.submit_traced(image(i), None, Some(trace(i))).unwrap())
+                .collect();
+            for (i, p) in pending.into_iter().enumerate() {
+                let row = p.wait().unwrap();
+                let got: Vec<u32> = row.data().iter().map(|v| v.to_bits()).collect();
+                assert_eq!(
+                    got, reference[i],
+                    "bits diverged: image {i}, replicas={replicas}, threads={threads}"
+                );
             }
+            pool.shutdown();
         }
     }
 }
 
-#[test]
-fn consistent_hash_pins_a_trace_to_one_replica() {
-    // Affinity behind the bitwise guarantee: every submission of the same
-    // trace id lands on the same replica, even when other replicas are
-    // idle and least-depth would have spread the load.
-    let pool = ReplicaPool::new(
+fn two_replicas(max_in_flight: Option<usize>) -> ReplicaPool {
+    ReplicaPool::new(
         model(),
         PoolConfig {
-            replicas: 4,
-            policy: DispatchPolicy::ConsistentHash,
+            replicas: 2,
+            engine: EngineConfig {
+                max_batch: 4,
+                max_wait: Duration::from_millis(20),
+                queue_capacity: 16,
+                workers: 1,
+            },
+            max_in_flight,
             ..PoolConfig::default()
         },
     )
-    .unwrap();
-    let replicas = pool.replicas();
-    let gates: Vec<_> = replicas.iter().map(|r| r.engine().pause()).collect();
+    .unwrap()
+}
+
+#[test]
+fn least_depth_spreads_captive_load_evenly() {
+    let pool = two_replicas(None);
+    let gates: Vec<_> = pool.engines().iter().map(|e| e.pause()).collect();
+
+    // Six captive requests spread 3/3 (loads tick up as we submit).
+    let pending: Vec<_> = (0..6)
+        .map(|i| pool.submit(image(i), None).unwrap())
+        .collect();
+    assert_eq!(pool.engines()[0].in_flight(), 3);
+    assert_eq!(pool.engines()[1].in_flight(), 3);
+
+    // Nothing accepted is dropped once the gates open.
+    drop(gates);
+    for p in pending {
+        p.wait().unwrap();
+    }
+    pool.shutdown();
+}
+
+#[test]
+fn fleet_cap_sheds_with_typed_queue_full() {
+    let pool = two_replicas(Some(3));
+    let gates: Vec<_> = pool.engines().iter().map(|e| e.pause()).collect();
 
     let pending: Vec<_> = (0..3)
-        .map(|_| pool.submit_traced(image(0), None, Some(trace(3))).unwrap())
+        .map(|i| pool.submit(image(i), None).unwrap())
         .collect();
-    let homes: Vec<usize> = replicas
-        .iter()
-        .filter(|r| r.engine().in_flight() > 0)
-        .map(|r| r.id())
-        .collect();
-    assert_eq!(homes.len(), 1, "one trace id spread across {homes:?}");
-    assert_eq!(replicas[homes[0]].engine().in_flight(), 3);
-
-    // The home replica is the router's first candidate, independent of load.
-    let router = ibrar_serve::Router::new(DispatchPolicy::ConsistentHash, 4);
-    assert_eq!(
-        router.candidates(&[7, 1, 3, 5], Some(&trace(3)))[0],
-        homes[0]
-    );
-
+    // Admission control trips before any replica queue does.
+    assert!(matches!(
+        pool.submit(image(9), None),
+        Err(ServeError::QueueFull)
+    ));
     drop(gates);
     for p in pending {
         p.wait().unwrap();

@@ -1,13 +1,16 @@
-//! End-to-end observability-plane test: per-stage histograms account for
-//! every request, the metrics endpoint serves both exposition formats over
-//! the wire, health answers, and the flight recorder captures an injected
-//! slow request with its trace id.
+//! End-to-end observability-plane test against a 2-replica server:
+//! per-stage histograms account for every request, the per-replica gauges
+//! read the idle fleet's live counts, the metrics endpoint serves both
+//! exposition formats over the wire (with per-replica dispatch counters),
+//! health counts every replica, fleet answers match a local forward bit
+//! for bit, and the flight recorder captures an injected slow request with
+//! its trace id.
 //!
 //! Everything lives in ONE test function: the server shares the global
 //! telemetry recorder with this process, so parallel tests in this binary
 //! would race its counters.
 
-use ibrar_nn::{VggConfig, VggMini};
+use ibrar_nn::{ImageModel, Mode, Session, VggConfig, VggMini};
 use ibrar_serve::{
     save_to_path, Client, MetricsFormat, ModelRegistry, Server, ServerConfig, TraceId,
 };
@@ -25,6 +28,15 @@ fn image(i: usize) -> Tensor {
     Tensor::from_fn(&[3, 16, 16], |idx| {
         ((idx[0] * 13 + idx[1] * 7 + idx[2] + i * 5) % 19) as f32 / 19.0
     })
+}
+
+fn local_logits(model: &dyn ImageModel, img: &Tensor) -> Vec<u32> {
+    let tape = ibrar_autograd::Tape::new();
+    let sess = Session::new(&tape);
+    let x = tape.leaf(Tensor::stack(std::slice::from_ref(img)).unwrap());
+    let out = model.forward(&sess, x, Mode::Eval).unwrap();
+    let row = out.logits.value().row(0).unwrap();
+    row.data().iter().map(|v| v.to_bits()).collect()
 }
 
 #[test]
@@ -47,6 +59,7 @@ fn observability_plane_end_to_end() {
         "127.0.0.1:0",
         registry,
         ServerConfig {
+            replicas: 2,
             flight_capacity: 64,
             slo_ms: Some(40.0),
             ..ServerConfig::default()
@@ -83,9 +96,33 @@ fn observability_plane_end_to_end() {
     );
     assert_eq!(snap.counter("serve.requests"), Some(N as u64));
 
-    // --- Health over the wire.
+    // --- Replica gauges read live counts: with every answer back, each
+    // replica is idle. A worker releases a request's in-flight slot just
+    // after sending its reply, so poll, bounded.
+    let mut last = Vec::new();
+    for _ in 0..200 {
+        let snap = Snapshot::from_json(&client.metrics(MetricsFormat::Json).unwrap()).unwrap();
+        last = [
+            "r0.queue_depth",
+            "r0.in_flight",
+            "r1.queue_depth",
+            "r1.in_flight",
+        ]
+        .map(|g| (g, snap.gauge(&format!("serve.replica.{g}"))))
+        .to_vec();
+        if last.iter().all(|&(_, v)| v == Some(0.0)) {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(
+        last.iter().all(|&(_, v)| v == Some(0.0)),
+        "idle fleet gauges: {last:?}"
+    );
+
+    // --- Health over the wire counts every replica.
     let health = client.health().unwrap();
-    assert_eq!(health.engines, 1);
+    assert_eq!(health.engines, 2);
     assert_eq!(health.queue_depth, 0);
 
     // --- Metrics over the wire: Prometheus text parses line-by-line and
@@ -121,6 +158,15 @@ fn observability_plane_end_to_end() {
         N as u64
     );
     assert!(parsed.counter("serve.requests").unwrap() >= N as u64);
+    // Every classify was dispatched to exactly one replica.
+    let dispatched: u64 = (0..2)
+        .map(|r| {
+            parsed
+                .counter(&format!("serve.pool.dispatch.r{r}"))
+                .unwrap_or(0)
+        })
+        .sum();
+    assert_eq!(dispatched, N as u64, "{json_payload}");
 
     // --- Flight recorder: the recent ring saw all N classifies (admin
     // opcodes are excluded), each with its client-minted trace id.
@@ -132,10 +178,17 @@ fn observability_plane_end_to_end() {
         assert!(dump.contains(&trace.to_string()), "missing {trace}");
     }
 
-    // --- Injected slow request: park the batcher so one request's queue
-    // stage dominates, breaching the 40ms SLO end to end.
-    let engine = server.engine("vgg").unwrap();
-    let gate = engine.pause();
+    // --- The fleet answers with the checkpoint's logits, bit for bit.
+    for i in 0..4 {
+        let (_, logits) = client.classify_with_logits("vgg", &image(i), 0).unwrap();
+        let got: Vec<u32> = logits.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(got, local_logits(&model, &image(i)), "image {i}");
+    }
+
+    // --- Injected slow request: park both batchers so one request's
+    // queue stage dominates, breaching the 40ms SLO end to end.
+    let pool = server.pool("vgg").unwrap();
+    let gates: Vec<_> = pool.engines().iter().map(|e| e.pause()).collect();
     let slow_trace = TraceId::generate();
     let addr = server.addr();
     let slow = std::thread::spawn(move || {
@@ -144,7 +197,7 @@ fn observability_plane_end_to_end() {
             .unwrap()
     });
     std::thread::sleep(Duration::from_millis(120));
-    drop(gate);
+    drop(gates);
     let (_, echoed) = slow.join().unwrap();
     assert_eq!(echoed, slow_trace);
 

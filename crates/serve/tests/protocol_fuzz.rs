@@ -89,9 +89,9 @@ fn unknown_opcodes_are_typed_and_never_kill_the_connection() {
     let (mut server, path) = start_fleet();
     let mut stream = TcpStream::connect(server.addr()).unwrap();
 
-    // Every unassigned low-7-bit opcode (0..=6 are taken, Rollout last),
+    // Every unassigned low-7-bit opcode (0..=5 are taken, Metrics last),
     // with and without the trace flag.
-    for op in 7u8..128 {
+    for op in 6u8..128 {
         let what = format!("opcode {op:#04x}");
         match exchange(&mut stream, &[op], &what) {
             Response::Error(Status::UnsupportedOpcode, msg) => {
@@ -158,7 +158,7 @@ fn truncated_and_mangled_frames_get_typed_errors_on_a_live_connection() {
     // framed reply whose status byte is a known code — never a panic, a
     // hang, or a dropped connection.
     for round in 0..60 {
-        let op = [0u8, 1, 2, 3, 4, 5, 6][rng.gen_range(0..7usize)];
+        let op = [0u8, 1, 2, 3, 4, 5][rng.gen_range(0..6usize)];
         let flag = if rng.gen_range(0..2u32) == 0 {
             0
         } else {
@@ -175,7 +175,7 @@ fn truncated_and_mangled_frames_get_typed_errors_on_a_live_connection() {
             .unwrap_or_else(|e| panic!("{what}: read failed: {e}"))
             .unwrap_or_else(|| panic!("{what}: server closed the connection"));
         assert!(!resp.is_empty(), "{what}: empty response frame");
-        assert!(resp[0] <= 7, "{what}: unknown status byte {}", resp[0]);
+        assert!(resp[0] <= 6, "{what}: unknown status byte {}", resp[0]);
     }
     assert_alive(&mut stream, "after mangled-frame sweep");
 
