@@ -135,9 +135,8 @@ fn run_throughput(requests: usize, int8: bool) -> DynResult<()> {
             Arc::clone(&model),
             EngineConfig {
                 max_batch,
-                max_wait: Duration::from_millis(5),
                 queue_capacity: requests.max(64),
-                workers: 1,
+                ..EngineConfig::default()
             },
         )?;
         // Warm-up wave so thread spawn and first-touch costs are excluded.

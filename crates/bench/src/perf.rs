@@ -23,7 +23,7 @@ use rand::SeedableRng;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// The schema name every report written through [`report`] carries.
 const SCHEMA: &str = "ibrar-perf-report/v2";
@@ -424,13 +424,12 @@ fn time_qgemm(sizes: &Sizes) -> f64 {
 }
 
 /// The engine behind every serve workload (each fleet replica runs one):
-/// batches of up to 8 within 1 ms, one worker, room for two waves.
+/// batches of up to 8, one worker, room for two waves.
 fn engine_config(sizes: &Sizes) -> EngineConfig {
     EngineConfig {
         max_batch: 8,
-        max_wait: Duration::from_millis(1),
         queue_capacity: sizes.serve_wave.max(8) * 2,
-        workers: 1,
+        ..EngineConfig::default()
     }
 }
 

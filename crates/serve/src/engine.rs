@@ -1,23 +1,20 @@
-//! Dynamic micro-batching inference engine.
-//!
-//! Latency-bound serving wants small batches; throughput wants large ones.
-//! The engine splits the difference with the classic coalescing loop:
+//! Work-conserving micro-batching inference engine.
 //!
 //! ```text
-//! submit() --try_send--> [bounded queue] --recv--> batcher --> [batch chan]
-//!                                                                 |
-//!                                              workers <----------+
-//!                                  (deadline check, stacked forward,
-//!                                   per-row reply)
+//! submit() --try_send--> [bounded queue] --recv, then try_recv up to max_batch--> worker
+//!                                          (deadline check, stacked forward,
+//!                                           per-row reply)
 //! ```
 //!
 //! * **Backpressure is explicit.** [`BatchEngine::submit`] uses a bounded
 //!   queue and `try_send`: a full queue returns [`ServeError::QueueFull`]
 //!   immediately — requests are never silently dropped and producers are
 //!   never blocked.
-//! * **The batcher coalesces.** The first request of a batch starts a
-//!   [`EngineConfig::max_wait`] window; the batch flushes when it reaches
-//!   [`EngineConfig::max_batch`] or the window closes, whichever is first.
+//! * **No request waits for company.** A free worker takes the first
+//!   queued request, then everything already queued up to
+//!   [`EngineConfig::max_batch`], and runs the forward at once: no worker
+//!   sits idle while a request waits, and batches still grow under load
+//!   because requests queue while a forward runs.
 //! * **Deadlines are honored at dispatch.** A worker checks each request's
 //!   deadline immediately before the forward pass; expired requests get a
 //!   typed [`ServeError::DeadlineExceeded`] instead of a stale answer.
@@ -27,13 +24,13 @@
 //!   bitwise identical to a single-request forward of image `i` — see
 //!   `tests/batching_identity.rs`.
 //! * **Load is counted, not guessed.** [`BatchEngine::in_flight`] counts
-//!   every accepted request until its job is dropped (queued, batching, or
-//!   in a forward); the replica pool routes on it.
+//!   every accepted request until just before its answer is sent; the
+//!   replica pool routes on it.
 //!
-//! The [`BatchEngine::pause`] gate exists for deterministic tests: it holds
-//! the batcher *between* taking a request and assembling the rest of the
-//! batch, so a test can fill the queue to capacity and observe a typed
-//! queue-full rejection without racing the drain.
+//! Workers share the queue's receiver behind a mutex and hold it from the
+//! first dequeue through the drain. The [`BatchEngine::pause`] gate, for
+//! deterministic tests, parks a worker right after its first dequeue, still
+//! holding the receiver, so a test can fill the queue to a known depth.
 //!
 //! # Stage taxonomy
 //!
@@ -41,17 +38,15 @@
 //! breakdown ([`StageTimings`], returned by
 //! [`PendingResponse::wait_detailed`]) and feeds the stage histograms:
 //!
-//! | stage     | histogram                | measures                        |
-//! |-----------|--------------------------|---------------------------------|
-//! | `queue`   | `serve.stage.queue_ms`   | submit → batcher dequeue        |
-//! | `batch`   | `serve.stage.batch_ms`   | dequeue → batch dispatch        |
-//! | `forward` | `serve.stage.forward_ms` | stack + batched forward pass    |
+//! | stage     | histogram                | measures                       |
+//! |-----------|--------------------------|--------------------------------|
+//! | `queue`   | `serve.stage.queue_ms`   | submit → a worker dequeues it  |
+//! | `batch`   | `serve.stage.batch_ms`   | dequeue → dispatch (the drain) |
+//! | `forward` | `serve.stage.forward_ms` | stack + batched forward pass   |
 //!
-//! (The fourth stage, `encode`, is measured server-side around response
-//! encoding — see `server`.) Timestamps are captured unconditionally:
-//! `Instant::now` costs tens of nanoseconds against millisecond-scale
-//! forwards, so the breakdown is always available and the
-//! zero-overhead-when-disabled contract only concerns histogram inserts.
+//! (The fourth stage, `encode`, is measured server-side — see `server`.)
+//! Timestamps are captured unconditionally; the histograms and the trace
+//! event are recorded after every row of the batch is answered.
 
 use crate::trace::TraceId;
 use crate::{Result, ServeError};
@@ -70,10 +65,10 @@ const TICK: Duration = Duration::from_millis(10);
 /// Tuning knobs for a [`BatchEngine`].
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Largest batch a worker will run (flush trigger #1).
+    /// Largest batch a worker will take from the queue at once.
     pub max_batch: usize,
-    /// Longest a request waits for co-batched company (flush trigger #2),
-    /// measured from the first request of the forming batch.
+    /// No-op: the engine never waits for co-batched company, so nothing
+    /// reads this. It stays so existing struct literals still build.
     pub max_wait: Duration,
     /// Bounded request-queue capacity; `submit` beyond this rejects with
     /// [`ServeError::QueueFull`].
@@ -86,7 +81,7 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             max_batch: 8,
-            max_wait: Duration::from_millis(2),
+            max_wait: Duration::ZERO,
             queue_capacity: 64,
             workers: 1,
         }
@@ -121,15 +116,17 @@ pub struct Classification {
 /// Per-stage latency breakdown for one completed request, in milliseconds.
 ///
 /// Stages partition the request's life inside the engine: `queue_ms`
-/// (submit → batcher dequeue) + `batch_ms` (dequeue → batch dispatch) +
+/// (submit → a worker dequeues it) + `batch_ms` (dequeue → dispatch) +
 /// `forward_ms` (stack + batched forward) ≈ total engine latency. The
 /// server adds a fourth, encode-side stage before the response hits the
 /// wire.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StageTimings {
-    /// Time spent waiting in the bounded submit queue.
+    /// Time spent in the bounded submit queue, including the dequeuing
+    /// worker's wake-up.
     pub queue_ms: f64,
-    /// Time spent waiting for the batch to form and reach a worker.
+    /// Time from dequeue to dispatch: the drain of whatever else was
+    /// queued, ≈ 0 unless the engine is paused.
     pub batch_ms: f64,
     /// Time spent in the batched stack + forward pass.
     pub forward_ms: f64,
@@ -146,19 +143,34 @@ struct Job {
     image: ibrar_tensor::Tensor,
     deadline: Option<Instant>,
     enqueued: Instant,
-    /// Set by the batcher at dequeue; equals `enqueued` until then.
+    /// Set by the worker at dequeue; equals `enqueued` until then.
     dequeued: Instant,
     trace: Option<TraceId>,
-    reply: mpsc::Sender<Result<(ibrar_tensor::Tensor, StageTimings)>>,
-    /// Accounting token: alive from acceptance until the job is dropped,
-    /// which is what [`BatchEngine::in_flight`] counts.
-    _inflight: InflightToken,
+    reply: Reply,
+}
+
+/// Where a job's answer goes, plus its in-flight slot.
+struct Reply {
+    tx: mpsc::Sender<Result<(ibrar_tensor::Tensor, StageTimings)>>,
+    /// Accounting token: alive from acceptance until the job is answered
+    /// or dropped, which is what [`BatchEngine::in_flight`] counts.
+    inflight: InflightToken,
+}
+
+impl Reply {
+    /// Releases the in-flight slot, then sends the answer, so a caller
+    /// holding its answer never still counts as in flight.
+    fn send(self, answer: Result<(ibrar_tensor::Tensor, StageTimings)>) {
+        drop(self.inflight);
+        let _ = self.tx.send(answer);
+    }
 }
 
 /// RAII increment of the in-flight count; the `Drop` decrement fires on
-/// *every* job-consumption path — successful reply, typed error reply,
-/// shutdown fail-drain, or a dropped channel — so the count can never
-/// leak. One token is minted per accepted request in `submit_traced`.
+/// *every* job-consumption path — an answer ([`Reply::send`] drops it
+/// first), shutdown fail-drain, or a dropped channel — so the count can
+/// never leak. One token is minted per accepted request in
+/// `submit_traced`.
 struct InflightToken(Arc<AtomicUsize>);
 
 impl InflightToken {
@@ -174,7 +186,8 @@ impl Drop for InflightToken {
     }
 }
 
-/// Test-only gate that parks the batcher between dequeue and assembly.
+/// Test-only gate that parks a worker between its first dequeue and the
+/// drain.
 #[derive(Default)]
 struct Gate {
     paused: Mutex<bool>,
@@ -197,7 +210,7 @@ impl Gate {
     }
 }
 
-/// Holds the batcher paused; dropping it resumes batching.
+/// Holds the engine paused; dropping it resumes batching.
 pub struct PauseGuard<'e> {
     gate: &'e Gate,
 }
@@ -248,7 +261,7 @@ pub struct BatchEngine {
 }
 
 impl BatchEngine {
-    /// Spawns the batcher and worker threads for `model`.
+    /// Spawns the `config.workers` worker threads for `model`.
     ///
     /// # Errors
     ///
@@ -256,35 +269,26 @@ impl BatchEngine {
     pub fn new(model: Arc<dyn ImageModel>, config: EngineConfig) -> Result<Self> {
         config.validate()?;
         let (submit_tx, submit_rx) = mpsc::sync_channel::<Job>(config.queue_capacity);
-        // Small buffer so the batcher can run ahead of a busy worker without
-        // unbounded batch pile-up.
-        let (batch_tx, batch_rx) = mpsc::sync_channel::<Vec<Job>>(config.workers * 2);
-        let batch_rx = Arc::new(Mutex::new(batch_rx));
+        // Only the workers hold the receiver, so once the last one exits a
+        // late `try_send` fails as `Shutdown` instead of queueing forever.
+        let submit_rx = Arc::new(Mutex::new(submit_rx));
 
         let queue_depth = Arc::new(AtomicUsize::new(0));
         let gate = Arc::new(Gate::default());
         let shutdown = Arc::new(AtomicBool::new(false));
 
-        let mut threads = Vec::with_capacity(config.workers + 1);
-        {
+        let mut threads = Vec::with_capacity(config.workers);
+        for i in 0..config.workers {
+            let model = Arc::clone(&model);
+            let rx = Arc::clone(&submit_rx);
             let depth = Arc::clone(&queue_depth);
             let gate = Arc::clone(&gate);
             let shutdown = Arc::clone(&shutdown);
-            let cfg = config.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name("serve-batcher".into())
-                    .spawn(move || batcher_loop(submit_rx, batch_tx, depth, gate, shutdown, cfg))
-                    .map_err(|e| ServeError::Io(e.to_string()))?,
-            );
-        }
-        for i in 0..config.workers {
-            let model = Arc::clone(&model);
-            let rx = Arc::clone(&batch_rx);
+            let max_batch = config.max_batch;
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("serve-worker-{i}"))
-                    .spawn(move || worker_loop(model, rx))
+                    .spawn(move || worker_loop(model, rx, depth, gate, shutdown, max_batch))
                     .map_err(|e| ServeError::Io(e.to_string()))?,
             );
         }
@@ -318,12 +322,13 @@ impl BatchEngine {
 
     /// Requests accepted but not yet answered: queued, batching, or in a
     /// forward pass. This is the load signal the replica pool balances on
-    /// (`queue_depth` alone goes dark the instant the batcher dequeues).
+    /// (`queue_depth` alone goes dark the instant a worker dequeues).
     pub fn in_flight(&self) -> usize {
         self.inflight.load(Ordering::SeqCst)
     }
 
-    /// Parks the batcher until the guard drops (deterministic tests only).
+    /// Parks the next worker to dequeue, right after its first request,
+    /// until the guard drops (deterministic tests only).
     pub fn pause(&self) -> PauseGuard<'_> {
         self.gate.set(true);
         PauseGuard { gate: &self.gate }
@@ -388,12 +393,14 @@ impl BatchEngine {
             enqueued: now,
             dequeued: now,
             trace,
-            reply: reply_tx,
-            // Minted before try_send; a rejected job drops the token on
-            // the error path so the count never includes unaccepted work.
-            _inflight: InflightToken::mint(&self.inflight),
+            reply: Reply {
+                tx: reply_tx,
+                // Minted before try_send; a rejected job drops the token on
+                // the error path so the count never includes unaccepted work.
+                inflight: InflightToken::mint(&self.inflight),
+            },
         };
-        // Count before sending: once the job is visible to the batcher its
+        // Count before sending: once the job is visible to a worker its
         // increment must already be, or the counter underflows.
         let depth = self.queue_depth.fetch_add(1, Ordering::SeqCst) + 1;
         match self.submit_tx.try_send(job) {
@@ -433,7 +440,7 @@ impl BatchEngine {
         })
     }
 
-    /// Stops the batcher and workers, failing queued requests with
+    /// Stops the workers, failing queued requests with
     /// [`ServeError::Shutdown`]. Idempotent; blocks until threads join.
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
@@ -450,13 +457,15 @@ impl Drop for BatchEngine {
     }
 }
 
-fn batcher_loop(
-    submit_rx: Receiver<Job>,
-    batch_tx: SyncSender<Vec<Job>>,
+/// One worker: take the first queued job, then whatever is already queued
+/// behind it up to `max_batch`, and run them as one batch at once.
+fn worker_loop(
+    model: Arc<dyn ImageModel>,
+    queue: Arc<Mutex<Receiver<Job>>>,
     depth: Arc<AtomicUsize>,
     gate: Arc<Gate>,
     shutdown: Arc<AtomicBool>,
-    cfg: EngineConfig,
+    max_batch: usize,
 ) {
     let dequeue = |mut job: Job| -> Job {
         let d = depth.fetch_sub(1, Ordering::SeqCst).saturating_sub(1);
@@ -465,61 +474,40 @@ fn batcher_loop(
         job
     };
     loop {
-        // Wait for the first request of the next batch.
-        let first = match submit_rx.recv_timeout(TICK) {
-            Ok(job) => dequeue(job),
-            Err(RecvTimeoutError::Timeout) => {
-                if shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                continue;
-            }
-            Err(RecvTimeoutError::Disconnected) => break,
-        };
-        // Test hook: hold here so tests can fill the queue deterministically.
-        gate.wait_open();
+        // Hold the receiver from the first dequeue through the drain; the
+        // forward runs unlocked, so the next free worker takes the queue.
+        let rx = queue.lock();
         if shutdown.load(Ordering::SeqCst) {
-            let _ = first.reply.send(Err(ServeError::Shutdown));
             break;
         }
-
-        let mut batch = vec![first];
-        let flush_at = Instant::now() + cfg.max_wait;
-        while batch.len() < cfg.max_batch {
-            let now = Instant::now();
-            if now >= flush_at {
-                break;
-            }
-            match submit_rx.recv_timeout(flush_at - now) {
-                Ok(job) => batch.push(dequeue(job)),
-                Err(RecvTimeoutError::Timeout) => break,
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        tel::counter("serve.batches", 1);
-        tel::observe("serve.batch_size", batch.len() as f64);
-        if batch_tx.send(batch).is_err() {
-            break; // workers gone; shutdown in progress
-        }
-    }
-    // Fail anything still queued so no caller hangs.
-    while let Ok(job) = submit_rx.try_recv() {
-        let job = dequeue(job);
-        let _ = job.reply.send(Err(ServeError::Shutdown));
-    }
-}
-
-fn worker_loop(model: Arc<dyn ImageModel>, batch_rx: Arc<Mutex<Receiver<Vec<Job>>>>) {
-    loop {
-        // Hold the lock only while waiting for one batch; processing runs
-        // unlocked so other workers can pick up the next batch meanwhile.
-        let msg = { batch_rx.lock().recv_timeout(TICK) };
-        let batch = match msg {
-            Ok(batch) => batch,
+        let first = match rx.recv_timeout(TICK) {
+            Ok(job) => dequeue(job),
             Err(RecvTimeoutError::Timeout) => continue,
             Err(RecvTimeoutError::Disconnected) => break,
         };
+        // Test hook: hold here, receiver and all, so tests can fill the
+        // queue deterministically.
+        gate.wait_open();
+        if shutdown.load(Ordering::SeqCst) {
+            first.reply.send(Err(ServeError::Shutdown));
+            break;
+        }
+        let mut batch = vec![first];
+        while batch.len() < max_batch {
+            match rx.try_recv() {
+                Ok(job) => batch.push(dequeue(job)),
+                Err(_) => break,
+            }
+        }
+        drop(rx);
+        tel::counter("serve.batches", 1);
+        tel::observe("serve.batch_size", batch.len() as f64);
         run_batch(model.as_ref(), batch);
+    }
+    // Fail anything still queued so no caller hangs.
+    let rx = queue.lock();
+    while let Ok(job) = rx.try_recv() {
+        dequeue(job).reply.send(Err(ServeError::Shutdown));
     }
 }
 
@@ -531,7 +519,7 @@ fn run_batch(model: &dyn ImageModel, batch: Vec<Job>) {
     for job in batch {
         if job.deadline.is_some_and(|d| d < now) {
             tel::counter("serve.rejected.deadline", 1);
-            let _ = job.reply.send(Err(ServeError::DeadlineExceeded));
+            job.reply.send(Err(ServeError::DeadlineExceeded));
         } else {
             live.push(job);
         }
@@ -550,46 +538,53 @@ fn run_batch(model: &dyn ImageModel, batch: Vec<Job>) {
     let forward_ms = fwd_start.elapsed().as_secs_f64() * 1e3;
     match result {
         Ok(logits) => {
+            // Every row's answer goes out before any per-request
+            // bookkeeping, so telemetry never delays a caller.
+            let mut answered = Vec::with_capacity(live.len());
             for (i, job) in live.into_iter().enumerate() {
-                let row = logits.row(i).map_err(ServeError::from);
                 let timings = StageTimings {
                     queue_ms: (job.dequeued - job.enqueued).as_secs_f64() * 1e3,
                     batch_ms: (now - job.dequeued).as_secs_f64().max(0.0) * 1e3,
                     forward_ms,
                 };
-                observe_stages(&timings);
-                tel::observe(
-                    "serve.request_ms",
-                    job.enqueued.elapsed().as_secs_f64() * 1e3,
-                );
-                if let Some(trace) = job.trace {
-                    tel::event(
-                        tel::Level::Debug,
-                        "serve.request",
-                        &[
-                            ("trace", trace.to_string().into()),
-                            ("queue_ms", timings.queue_ms.into()),
-                            ("batch_ms", timings.batch_ms.into()),
-                            ("forward_ms", timings.forward_ms.into()),
-                        ],
-                    );
+                let row = logits.row(i).map_err(ServeError::from);
+                job.reply.send(row.map(|r| (r, timings)));
+                answered.push((job.enqueued, job.trace, timings));
+            }
+            if tel::enabled() {
+                for (enqueued, trace, timings) in answered {
+                    record_request(enqueued, trace, &timings);
                 }
-                let _ = job.reply.send(row.map(|r| (r, timings)));
             }
         }
         Err(e) => {
             tel::counter("serve.batch_errors", 1);
             for job in live {
-                let _ = job.reply.send(Err(e.clone()));
+                job.reply.send(Err(e.clone()));
             }
         }
     }
 }
 
-fn observe_stages(t: &StageTimings) {
+/// One answered request's telemetry: the stage histograms,
+/// `serve.request_ms`, and the trace event when the request carries an id.
+fn record_request(enqueued: Instant, trace: Option<TraceId>, t: &StageTimings) {
     tel::observe("serve.stage.queue_ms", t.queue_ms);
     tel::observe("serve.stage.batch_ms", t.batch_ms);
     tel::observe("serve.stage.forward_ms", t.forward_ms);
+    tel::observe("serve.request_ms", enqueued.elapsed().as_secs_f64() * 1e3);
+    if let Some(trace) = trace {
+        tel::event(
+            tel::Level::Debug,
+            "serve.request",
+            &[
+                ("trace", trace.to_string().into()),
+                ("queue_ms", t.queue_ms.into()),
+                ("batch_ms", t.batch_ms.into()),
+                ("forward_ms", t.forward_ms.into()),
+            ],
+        );
+    }
 }
 
 /// First index of the maximum element (ties break low, matching

@@ -13,9 +13,9 @@
 //! 2. **Registry** ([`registry::ModelRegistry`]): named checkpoints, built
 //!    and loaded lazily on first use, cached behind a lock.
 //! 3. **Engine** ([`engine::BatchEngine`]): a bounded request queue with
-//!    explicit [`ServeError::QueueFull`] backpressure, a batcher that
-//!    coalesces up to `max_batch` requests or flushes after `max_wait`,
-//!    worker threads running batched forwards, and per-request deadlines
+//!    explicit [`ServeError::QueueFull`] backpressure, worker threads that
+//!    each run whatever is queued (up to `max_batch`) as one batched
+//!    forward without waiting for more, and per-request deadlines
 //!    with typed [`ServeError::DeadlineExceeded`] expiry. Batching never
 //!    changes answers: results are bitwise identical to single-request
 //!    inference.

@@ -1,10 +1,10 @@
 //! Replica fleet: N [`BatchEngine`]s for one model behind one submit path.
 //!
 //! A [`ReplicaPool`] is built once around one model `Arc`: N replicas, each
-//! with its own bounded queue, batcher, and workers. Every request tries
-//! the replicas in least-outstanding order (queued *and* dispatched
-//! requests; ties break to the lowest replica id), and two fleet behaviors
-//! layer on top of the single-engine guarantees:
+//! with its own bounded queue and workers. Every request tries the replicas
+//! in least-outstanding order (queued *and* dispatched requests; ties break
+//! to the lowest replica id), and two fleet behaviors layer on top of the
+//! single-engine guarantees:
 //!
 //! * **Failover.** A replica whose queue is full rejects with
 //!   [`ServeError::QueueFull`] and the request moves on to the next

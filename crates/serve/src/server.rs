@@ -6,7 +6,7 @@
 //! connection counts are small, and every request does real tensor work
 //! anyway. Inference requests funnel into a per-model [`ReplicaPool`] of
 //! [`BatchEngine`] replicas (created lazily on a model's first request),
-//! so concurrent connections are what *feeds* the micro-batchers.
+//! so requests that arrive while a forward runs share the next batch.
 //!
 //! Shutdown is cooperative and complete: the accept loop is woken by a
 //! self-connection, open connection sockets are shut down so blocked reads

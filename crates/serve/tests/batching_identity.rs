@@ -1,10 +1,12 @@
-//! Batching must be invisible: row `i` of a coalesced batch is bitwise
-//! identical to a single-request forward of image `i`, for every batch
-//! size, engine worker count, and kernel thread count, on the f32 model
-//! and on its int8 snapshot.
+//! Batching must be invisible: row `i` of a batch is bitwise identical to
+//! a single-request forward of image `i`, for every batch size, engine
+//! worker count, and kernel thread count, on the f32 model and on its int8
+//! snapshot. The engine's queue contract rides along: typed backpressure,
+//! deadlines and shutdown, a lone request that never waits for company,
+//! and an in-flight slot released before the answer.
 
 use ibrar_nn::{ImageModel, Mode, Session, VggConfig, VggMini};
-use ibrar_serve::{BatchEngine, EngineConfig, Int8Vgg};
+use ibrar_serve::{BatchEngine, EngineConfig, Int8Vgg, StageTimings};
 use ibrar_tensor::{parallel, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -71,22 +73,26 @@ fn batched_rows_are_bitwise_identical_to_single_requests() {
                     Arc::clone(&model),
                     EngineConfig {
                         max_batch,
-                        // Generous window so a whole submission wave
-                        // coalesces into max_batch-sized batches
-                        // deterministically.
-                        max_wait: Duration::from_millis(200),
-                        queue_capacity: 64,
                         workers,
+                        ..EngineConfig::default()
                     },
                 )
                 .unwrap();
 
                 for &n in &[1usize, 3, max_batch] {
+                    // Park the worker on the wave's first request and queue
+                    // the rest behind it: on release it drains them, so the
+                    // first min(n, max_batch) requests form one batch.
+                    let gate = engine.pause();
                     let pending: Vec<_> = (0..n)
                         .map(|i| engine.submit(image(i), None).unwrap())
                         .collect();
-                    for (i, p) in pending.into_iter().enumerate() {
-                        let row = p.wait().unwrap();
+                    drop(gate);
+                    let answers: Vec<(Tensor, StageTimings)> = pending
+                        .into_iter()
+                        .map(|p| p.wait_detailed().unwrap())
+                        .collect();
+                    for (i, (row, _)) in answers.iter().enumerate() {
                         let got: Vec<u32> = row.data().iter().map(|v| v.to_bits()).collect();
                         assert_eq!(
                             got, reference[i],
@@ -94,6 +100,16 @@ fn batched_rows_are_bitwise_identical_to_single_requests() {
                              max_batch={max_batch}, workers={workers}"
                         );
                     }
+                    // One batch shares one forward, timed once.
+                    let forward = answers[0].1.forward_ms.to_bits();
+                    let batch = n.min(max_batch);
+                    assert!(
+                        answers[..batch]
+                            .iter()
+                            .all(|(_, t)| t.forward_ms.to_bits() == forward),
+                        "{name}: the first {batch} of {n} requests did not share one \
+                         forward (max_batch={max_batch}, workers={workers})"
+                    );
                 }
                 engine.shutdown();
             }
@@ -129,22 +145,21 @@ fn queue_full_is_typed_and_deterministic() {
         model(),
         EngineConfig {
             max_batch: 2,
-            max_wait: Duration::from_millis(1),
             queue_capacity: 4,
-            workers: 1,
+            ..EngineConfig::default()
         },
     )
     .unwrap();
 
-    // Park the batcher between its first dequeue and batch assembly, so the
-    // queue can be filled to capacity without racing the drain.
+    // Park the worker between its first dequeue and the drain, so the
+    // queue can be filled to capacity without racing it.
     let gate = engine.pause();
     let _sacrificial = engine.submit(image(0), None).unwrap();
     let mut spins = 0;
     while engine.queue_depth() != 0 {
         std::thread::sleep(Duration::from_millis(1));
         spins += 1;
-        assert!(spins < 5000, "batcher never picked up the sacrificial job");
+        assert!(spins < 5000, "worker never picked up the sacrificial job");
     }
 
     let held: Vec<_> = (0..4)
@@ -171,9 +186,8 @@ fn expired_deadlines_are_typed() {
         model(),
         EngineConfig {
             max_batch: 4,
-            max_wait: Duration::from_millis(1),
             queue_capacity: 8,
-            workers: 1,
+            ..EngineConfig::default()
         },
     )
     .unwrap();
@@ -184,10 +198,10 @@ fn expired_deadlines_are_typed() {
     while engine.queue_depth() != 0 {
         std::thread::sleep(Duration::from_millis(1));
         spins += 1;
-        assert!(spins < 5000, "batcher never picked up the sacrificial job");
+        assert!(spins < 5000, "worker never picked up the sacrificial job");
     }
 
-    // Queued behind the paused batcher with a 5 ms budget.
+    // Queued behind the paused worker with a 5 ms budget.
     let doomed = engine
         .submit(image(1), Some(Duration::from_millis(5)))
         .unwrap();
@@ -228,9 +242,8 @@ fn shutdown_fails_queued_requests_without_hanging() {
         model(),
         EngineConfig {
             max_batch: 2,
-            max_wait: Duration::from_millis(1),
             queue_capacity: 8,
-            workers: 1,
+            ..EngineConfig::default()
         },
     )
     .unwrap();
@@ -265,4 +278,46 @@ fn invalid_shape_is_rejected_before_enqueue() {
         Err(ibrar_serve::ServeError::InvalidInput(_))
     ));
     assert_eq!(engine.queue_depth(), 0);
+}
+
+#[test]
+fn a_lone_request_never_waits_for_company() {
+    // Work conservation: an idle worker runs whatever is queued at once,
+    // so the no-op `max_wait` cannot hold a lone request back.
+    let engine = BatchEngine::new(
+        model(),
+        EngineConfig {
+            max_batch: 8,
+            max_wait: Duration::from_secs(10),
+            ..EngineConfig::default()
+        },
+    )
+    .unwrap();
+    let (_, t) = engine
+        .submit(image(0), None)
+        .unwrap()
+        .wait_detailed()
+        .unwrap();
+    assert!(
+        t.batch_ms < 1000.0,
+        "a lone request waited {} ms for company",
+        t.batch_ms
+    );
+    engine.shutdown();
+}
+
+#[test]
+fn an_answered_request_is_no_longer_in_flight() {
+    // The worker releases a request's in-flight slot before it sends the
+    // answer, so a caller holding its answer never counts as in flight.
+    let engine = BatchEngine::new(model(), EngineConfig::default()).unwrap();
+    for i in 0..1000 {
+        engine.submit(image(i % 8), None).unwrap().wait().unwrap();
+        assert_eq!(
+            engine.in_flight(),
+            0,
+            "request {i} still in flight after its answer"
+        );
+    }
+    engine.shutdown();
 }

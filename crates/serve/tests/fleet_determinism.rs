@@ -14,7 +14,6 @@ use ibrar_tensor::{parallel, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
-use std::time::Duration;
 
 const IMAGES: usize = 8;
 
@@ -75,17 +74,17 @@ fn fleet_logits_are_bitwise_identical_to_single_engine_forward() {
                     replicas,
                     engine: EngineConfig {
                         max_batch: 4,
-                        max_wait: Duration::from_millis(5),
-                        queue_capacity: 64,
                         workers: 2,
+                        ..EngineConfig::default()
                     },
                     ..PoolConfig::default()
                 },
             )
             .unwrap();
 
-            // Submit the whole wave before waiting so requests really
-            // spread across replicas and coalesce into batches.
+            // Submit the whole wave before waiting so requests spread
+            // across replicas, and those that queue while a forward runs
+            // share the next batch.
             let pending: Vec<_> = (0..IMAGES)
                 .map(|i| pool.submit_traced(image(i), None, Some(trace(i))).unwrap())
                 .collect();
@@ -109,9 +108,8 @@ fn two_replicas(max_in_flight: Option<usize>) -> ReplicaPool {
             replicas: 2,
             engine: EngineConfig {
                 max_batch: 4,
-                max_wait: Duration::from_millis(20),
                 queue_capacity: 16,
-                workers: 1,
+                ..EngineConfig::default()
             },
             max_in_flight,
             ..PoolConfig::default()

@@ -69,7 +69,8 @@ fn observability_plane_end_to_end() {
     let mut client = Client::connect(server.addr()).unwrap();
 
     // --- Stage accounting: N requests → exactly N observations in every
-    // engine-side stage histogram.
+    // engine-side stage histogram. A worker records them just after it
+    // sends the batch's answers, so wait (bounded) for the last one.
     const N: usize = 8;
     let mut traces = Vec::new();
     for i in 0..N {
@@ -77,7 +78,17 @@ fn observability_plane_end_to_end() {
         assert!(label < 10);
         traces.push(trace);
     }
-    let snap = tel::snapshot();
+    let mut snap = tel::snapshot();
+    for _ in 0..200 {
+        let recorded = snap
+            .histogram("serve.stage.forward_ms")
+            .map_or(0, |h| h.count);
+        if recorded >= N as u64 {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+        snap = tel::snapshot();
+    }
     for stage in [
         "serve.stage.queue_ms",
         "serve.stage.batch_ms",
@@ -97,27 +108,19 @@ fn observability_plane_end_to_end() {
     assert_eq!(snap.counter("serve.requests"), Some(N as u64));
 
     // --- Replica gauges read live counts: with every answer back, each
-    // replica is idle. A worker releases a request's in-flight slot just
-    // after sending its reply, so poll, bounded.
-    let mut last = Vec::new();
-    for _ in 0..200 {
-        let snap = Snapshot::from_json(&client.metrics(MetricsFormat::Json).unwrap()).unwrap();
-        last = [
-            "r0.queue_depth",
-            "r0.in_flight",
-            "r1.queue_depth",
-            "r1.in_flight",
-        ]
-        .map(|g| (g, snap.gauge(&format!("serve.replica.{g}"))))
-        .to_vec();
-        if last.iter().all(|&(_, v)| v == Some(0.0)) {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    // replica is idle. A worker releases a request's in-flight slot before
+    // it sends the answer, so one read must see it.
+    let snap = Snapshot::from_json(&client.metrics(MetricsFormat::Json).unwrap()).unwrap();
+    let gauges = [
+        "r0.queue_depth",
+        "r0.in_flight",
+        "r1.queue_depth",
+        "r1.in_flight",
+    ]
+    .map(|g| (g, snap.gauge(&format!("serve.replica.{g}"))));
     assert!(
-        last.iter().all(|&(_, v)| v == Some(0.0)),
-        "idle fleet gauges: {last:?}"
+        gauges.iter().all(|&(_, v)| v == Some(0.0)),
+        "idle fleet gauges: {gauges:?}"
     );
 
     // --- Health over the wire counts every replica.
@@ -185,7 +188,7 @@ fn observability_plane_end_to_end() {
         assert_eq!(got, local_logits(&model, &image(i)), "image {i}");
     }
 
-    // --- Injected slow request: park both batchers so one request's
+    // --- Injected slow request: park both replicas so one request's
     // queue stage dominates, breaching the 40ms SLO end to end.
     let pool = server.pool("vgg").unwrap();
     let gates: Vec<_> = pool.engines().iter().map(|e| e.pause()).collect();
@@ -210,7 +213,7 @@ fn observability_plane_end_to_end() {
         .find(|b| b.get("trace").unwrap().as_str() == Some(&slow_trace.to_string()))
         .expect("slow request missing from breach ring");
     assert!(breach.get("total_ms").unwrap().as_f64().unwrap() > 40.0);
-    // The time went where we injected it: the gate parks the batcher
+    // The time went where we injected it: the gate parks the worker
     // *after* dequeue, so the stall shows up in the batch-formation stage.
     let batch_ms = breach.get("batch_ms").unwrap().as_f64().unwrap();
     assert!(batch_ms > 40.0, "batch_ms {batch_ms}");

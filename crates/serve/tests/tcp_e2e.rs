@@ -206,9 +206,8 @@ fn queue_full_and_deadline_cross_the_wire_typed() {
     let (server, paths, _donors) = start_server(ServerConfig {
         engine: EngineConfig {
             max_batch: 2,
-            max_wait: Duration::from_millis(1),
             queue_capacity: 3,
-            workers: 1,
+            ..EngineConfig::default()
         },
         ..ServerConfig::default()
     });
@@ -218,7 +217,7 @@ fn queue_full_and_deadline_cross_the_wire_typed() {
     client.classify("vgg", &image(0), 0).unwrap();
     let engine = server.engine("vgg").unwrap();
 
-    // Park the batcher, feed it one sacrificial job, and wait until it holds
+    // Park the worker, feed it one sacrificial job, and wait until it holds
     // that job (queue drained) so capacity accounting is deterministic.
     let gate = engine.pause();
     let _sacrificial = engine.submit(image(1), None).unwrap();
@@ -226,14 +225,14 @@ fn queue_full_and_deadline_cross_the_wire_typed() {
     while engine.queue_depth() != 0 {
         std::thread::sleep(Duration::from_millis(1));
         spins += 1;
-        assert!(spins < 5000, "batcher never picked up the sacrificial job");
+        assert!(spins < 5000, "worker never picked up the sacrificial job");
     }
     let held: Vec<_> = (0..2)
         .map(|i| engine.submit(image(i + 2), None).unwrap())
         .collect();
 
     // A 5 ms-deadline request takes the last queue slot and waits behind
-    // the parked batcher. It blocks until the gate opens, so it runs on its
+    // the parked worker. It blocks until the gate opens, so it runs on its
     // own connection.
     let addr = server.addr();
     let doomed = std::thread::spawn(move || {
@@ -253,7 +252,7 @@ fn queue_full_and_deadline_cross_the_wire_typed() {
         Err(ServeError::QueueFull)
     ));
 
-    // Let the doomed request's deadline lapse, then release the batcher.
+    // Let the doomed request's deadline lapse, then release the worker.
     std::thread::sleep(Duration::from_millis(50));
     drop(gate);
     assert!(matches!(

@@ -16,7 +16,7 @@ use ibrar_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 fn image(i: usize) -> Tensor {
     Tensor::from_fn(&[3, 16, 16], |idx| {
@@ -52,24 +52,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Ok(Box::new(VggMini::new(VggConfig::tiny(10), &mut rng)?))
     });
 
-    // 3. Serve on an ephemeral port with a small batching window.
+    // 3. Serve on an ephemeral port: one worker per model, batches of up
+    //    to 8 from whatever is queued when it comes free.
     let mut server = Server::start(
         "127.0.0.1:0",
         registry,
         ServerConfig {
             engine: EngineConfig {
                 max_batch: 8,
-                max_wait: Duration::from_millis(2),
-                queue_capacity: 64,
-                workers: 1,
+                ..EngineConfig::default()
             },
             ..ServerConfig::default()
         },
     )?;
     println!("serving on {}\n", server.addr());
 
-    // 4. Four concurrent clients, eight requests each: concurrency is what
-    //    gives the batcher something to coalesce.
+    // 4. Four concurrent clients, eight requests each: requests that arrive
+    //    while a forward runs share the next batch.
     let addr = server.addr();
     let start = Instant::now();
     let handles: Vec<_> = (0..4)
@@ -118,7 +117,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // 6. Clean shutdown, then the telemetry report: look for serve.batch_size
-    //    (coalescing at work), serve.request_ms, and serve.queue_depth.
+    //    (batches formed under concurrency), serve.request_ms, and
+    //    serve.queue_depth.
     drop(client);
     server.shutdown();
     let _ = std::fs::remove_file(ckpt);
